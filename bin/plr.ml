@@ -11,6 +11,7 @@
 module Scalar = Plr_util.Scalar
 module Spec = Plr_gpusim.Spec
 module Trace = Plr_trace.Trace
+module Lookback = Plr_exec.Lookback
 module Chrome = Plr_trace.Chrome
 module Report = Plr_trace.Report
 
@@ -233,7 +234,7 @@ let cmd_run text n backend domain domains opts_off ons offs =
         (float_of_int n /. st /. 1e6)
   | `Int is, Jit_backend ->
       let input = random_int_input n in
-      let m = Multi_int.default_chunk_size ~domains:(pool_size domains) n in
+      let m = Lookback.default_chunk_size ~domains:(pool_size domains) n in
       let fplan =
         Jit_int.F.of_feedback ~opts ~feedback:is.Signature.feedback ~m ()
       in
@@ -267,7 +268,7 @@ let cmd_run text n backend domain domains opts_off ons offs =
   | `Float, Jit_backend ->
       let fs = Signature.map Plr_util.F32.round s in
       let input = random_f32_input n in
-      let m = Multi_f32.default_chunk_size ~domains:(pool_size domains) n in
+      let m = Lookback.default_chunk_size ~domains:(pool_size domains) n in
       let fplan =
         Jit_f32.F.of_feedback ~opts ~feedback:fs.Signature.feedback ~m ()
       in
@@ -315,7 +316,7 @@ let cmd_emit text target domain n =
             Emit_f32.cuda (Plan_f32.compile ~spec ~n fs))
     | "c" -> (
         let m =
-          Multi_int.default_chunk_size
+          Lookback.default_chunk_size
             ~domains:(Domain.recommended_domain_count ())
             n
         in

@@ -11,6 +11,7 @@
 module Scalar = Plr_util.Scalar
 module Opts = Plr_factors.Opts
 module Pool = Plr_exec.Pool
+module Lookback = Plr_exec.Lookback
 module Si = Plr_serial.Serial.Make (Scalar.Int)
 module Sf = Plr_serial.Serial.Make (Scalar.F32)
 module Mi = Plr_multicore.Multicore.Make (Scalar.Int)
@@ -127,8 +128,8 @@ let smoke ?(n = default_n) ?(reps = 3) ?(opts = Opts.all_on) ?domains () =
   in
   let lp2 = Signature.map Plr_util.F32.round Table1.low_pass2.Table1.signature in
   (* The knobs the untuned parallel variants actually run with. *)
-  let dchunk = Mi.default_chunk_size ~domains n in
-  let dwindow = Plr_multicore.Multicore.default_window ~pool_size:domains in
+  let dchunk = Lookback.default_chunk_size ~domains n in
+  let dwindow = Lookback.default_window ~pool_size:domains in
   let heuristic = (domains, dchunk, dwindow) in
   (* The jit variant: compile the per-signature native kernel up front
      (synchronously — build time must not land in a timed rep) and run
@@ -271,8 +272,8 @@ let smoke ?(n = default_n) ?(reps = 3) ?(opts = Opts.all_on) ?domains () =
   in
   let scan_suite name ~identity seed =
     let sa, sb = scan_streams ~identity seed in
-    let schunk = Plr_scan.Scan.default_chunk_size ~domains n in
-    let swindow = Plr_scan.Scan.default_window ~pool_size:domains in
+    let schunk = Lookback.default_chunk_size ~domains n in
+    let swindow = Lookback.default_window ~pool_size:domains in
     let runs = Sci.Runs.build sa sb in
     (* The serial and sparse rows both run the steady-state shape (a
        precompiled runs plan, a caller-owned destination), so their
@@ -388,7 +389,7 @@ let trace_overhead ?(n = default_n) ?domains () =
   ignore (Sys.opaque_identity (site ()));
   let site_ns = time_best 3 site *. 1e9 /. float_of_int iters in
   let pool = Pool.get ?domains () in
-  let chunk = Mf.default_chunk_size ~domains:(Pool.size pool) n in
+  let chunk = Lookback.default_chunk_size ~domains:(Pool.size pool) n in
   let per_elem_ns =
     site_ns *. float_of_int trace_points_per_chunk /. float_of_int chunk
   in

@@ -76,3 +76,12 @@ let pp ppf p =
         Format.fprintf ppf "%s@chunk%d/lane%d+%d" (kind_to_string e.kind)
           e.chunk e.lane e.delay)
       ppf p.events
+
+module Damage (S : Plr_util.Scalar.S) = struct
+  let poison =
+    match S.kind with
+    | Plr_util.Scalar.Floating -> S.of_float Float.nan
+    | Plr_util.Scalar.Integer -> S.of_int 0x5EED_BAD
+
+  let corrupt v = S.add (S.mul v (S.of_int 3)) (S.of_int 41)
+end

@@ -72,3 +72,14 @@ val random :
 
 val kind_to_string : kind -> string
 val pp : Format.formatter -> plan -> unit
+
+(** The wrong values {!Poison_chunk} and {!Corrupt_carry} write, for one
+    scalar domain; every engine that interprets a plan uses these. *)
+module Damage (S : Plr_util.Scalar.S) : sig
+  val poison : S.t
+  (** NaN for floating scalars, a garbage constant for integer scalars. *)
+
+  val corrupt : S.t -> S.t
+  (** A deterministic wrong value, distinguishable from the original in
+      every scalar domain. *)
+end

@@ -3,25 +3,27 @@
 
     The paper notes (§7) that the algorithm, the hierarchical
     parallelization, and most optimizations "apply equally to CPUs"; this
-    module is that port.  Since PR 3 it is a *single-pass* engine in the
+    module is that port.  It is a *single-pass* engine in the
     Merrill–Garland decoupled look-back style (the same protocol as
     [Plr_plr.Engine]'s Phase 2), executed on a persistent
-    {!Plr_exec.Pool}:
+    {!Plr_exec.Pool}.  The schedule itself is {!Plr_exec.Lookback}, the
+    one look-back engine shared with {!Plr_scan.Scan}; this module is its
+    recurrence-carry instance:
 
     - the sequence is split into chunks, one pool task per chunk;
     - each task solves its chunk locally in one fused sweep (the FIR map
       stage reads the immutable input tail directly, the feedback stage
       reads only the chunk's own output — no serial pre-pass, no slice
-      copies);
-    - local (aggregate) carries are published through an atomic status
-      flag; each task looks back over a bounded window — the inclusive
-      carries of the previous window's last chunk plus the aggregates
-      published since — and promotes them with the shared n-nacci
-      correction factors;
-    - inclusive (global) carries are published *before* the task's own
-      O(chunk) correction sweep, so the carry chain never waits on a
-      sweep and the old sequential carry loop and its two barriers are
-      gone.
+      copies); its local carry is the chunk's last [k] outputs;
+    - carries compose through the shared n-nacci correction factors: a
+      task looks back over a bounded window and promotes the local
+      carries it folds into an inclusive one;
+    - the inclusive carry is published *before* the task's own O(chunk)
+      correction sweep, so the carry chain never waits on a sweep.
+
+    One-domain pools run the same chunks in order instead
+    ({!Make.run_sequential_fallback} is that schedule), where each
+    chunk's inclusive carry is simply its last [k] corrected outputs.
 
     The correction factors are compiled once per run through the shared
     {!Plr_factors.Factor_plan}, so the CPU hot path inherits the paper's
@@ -45,29 +47,20 @@ module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
 
 exception Fault_detected of string
-(** Raised when an injected fault leaves the pipeline unable to make
-    progress (e.g. a dropped carry publication that the look-back window
-    would spin on forever): the engine fails loudly instead of returning
+(** The same exception as {!Plr_exec.Lookback.Fault_detected}.  Raised
+    when an injected fault leaves the pipeline unable to make progress
+    (e.g. a dropped carry publication that the look-back window would
+    spin on forever): the engine fails loudly instead of returning
     silently wrong values. *)
 
 val faulted_lookback_window : int
-(** Window of the deterministic faulted pipeline: chunk [c] reads the
+(** {!Plr_exec.Lookback.faulted_lookback_window}: chunk [c] reads the
     inclusive carries of chunk [(c / w) * w - 1] and the aggregates of
     every chunk in between.  Drops outside that read set are routed
     around (bit-exact output); drops inside it stall and raise
     {!Fault_detected}. *)
 
-val default_window : pool_size:int -> int
-(** The look-back window the pooled schedule uses when [?window] is not
-    given: [max faulted_lookback_window (2 × pool_size)].  A measured
-    tuning ({!Plr_core.Tune}) may override it per run. *)
-
 module Make (S : Plr_util.Scalar.S) : sig
-  val default_chunk_size : domains:int -> int -> int
-  (** The chunk size [run] uses when none is given: the input length split
-      into several chunks per participating domain, floored at a minimum
-      size below which protocol overhead dominates. *)
-
   val run :
     ?opts:Plr_factors.Opts.t ->
     ?faults:Faults.plan ->
@@ -81,8 +74,9 @@ module Make (S : Plr_util.Scalar.S) : sig
       domain pool.  [pool] (default: the registry pool for [domains],
       itself defaulting to [Domain.recommended_domain_count ()]) supplies
       the worker domains — no domain is spawned per call.  [chunk_size]
-      defaults to {!default_chunk_size}; [window] overrides the pooled
-      schedule's look-back window ({!default_window}) — both are the
+      defaults to {!Plr_exec.Lookback.default_chunk_size}; [window]
+      overrides the pooled schedule's look-back window
+      ({!Plr_exec.Lookback.default_window}) — both are the
       knobs the measured autotuner ([Plr_core.Tune]) searches.  [opts]
       (default {!Plr_factors.Opts.all_on}) selects the factor
       specializations applied during carry promotion and correction.

@@ -5,6 +5,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   module Multicore = Multicore.Make (S)
   module FP = Plr_factors.Factor_plan.Make (S)
   module Pool = Plr_exec.Pool
+  module Lookback = Plr_exec.Lookback
 
   type t = {
     signature : S.t Signature.t;
@@ -191,7 +192,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         let plan = t.fplan in
         Multicore.run_into ~opts:t.opts ?plan ~pool:t.pool
           ~chunk_size:
-            (Multicore.default_chunk_size ~domains:(Pool.size t.pool) n)
+            (Lookback.default_chunk_size ~domains:(Pool.size t.pool) n)
           t.pure ~src ~dst;
         (if t.started then
            match plan with
@@ -233,7 +234,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           let y =
             Multicore.run ~opts:t.opts ?plan:t.fplan ~pool:t.pool
               ~chunk_size:
-                (Multicore.default_chunk_size ~domains:(Pool.size t.pool) n)
+                (Lookback.default_chunk_size ~domains:(Pool.size t.pool) n)
               t.pure tseq
           in
           (* correct with the carries from everything processed so far *)

@@ -146,9 +146,9 @@ module Cpu (S : Plr_util.Scalar.S) = struct
   let heuristic_tuning ~pool ~n =
     let domains = Pool.size pool in
     {
-      chunk_size = M.default_chunk_size ~domains (max 1 n);
+      chunk_size = Plr_exec.Lookback.default_chunk_size ~domains (max 1 n);
       domains;
-      window = Plr_multicore.Multicore.default_window ~pool_size:domains;
+      window = Plr_exec.Lookback.default_window ~pool_size:domains;
     }
 
   (* The candidate grid, heuristic configuration always first (it is both

@@ -98,8 +98,9 @@ module Cpu (S : Plr_util.Scalar.S) : sig
       same shape and magnitude. *)
 
   val heuristic_tuning : pool:Plr_exec.Pool.t -> n:int -> cpu_tuning
-  (** What the backend would do untuned: {!Multicore.Make.default_chunk_size},
-      the full pool, {!Multicore.default_window}. *)
+  (** What the backend would do untuned:
+      {!Plr_exec.Lookback.default_chunk_size}, the full pool,
+      {!Plr_exec.Lookback.default_window}. *)
 
   val search :
     ?opts:Plr_factors.Opts.t -> ?reps:int -> ?budget:int ->

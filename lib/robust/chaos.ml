@@ -111,7 +111,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           else
             ( expected,
               Some "scan verify: faulted output diverged from serial" )
-      | exception Plr_scan.Scan.Fault_detected msg -> (expected, Some msg)
+      | exception Plr_exec.Lookback.Fault_detected msg -> (expected, Some msg)
     in
     let outcome =
       if not (matches accepted) then

@@ -18,7 +18,7 @@
 
     Trials cannot hang: the engine's fault scheduler bounds its steps and
     turns genuine deadlocks into {!Plr_core.Engine.Protocol_stall}, and the
-    multicore pipeline raises {!Plr_multicore.Multicore.Fault_detected} on
+    multicore pipeline raises {!Plr_exec.Lookback.Fault_detected} on
     lost publications. *)
 
 module Faults = Plr_gpusim.Faults

@@ -1,36 +1,20 @@
 module Faults = Plr_gpusim.Faults
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
+module Lookback = Plr_exec.Lookback
 module Trace = Plr_trace.Trace
 module Buf = Plr_util.Buf
 module A1 = Bigarray.Array1
 
-exception Fault_detected of string
-(* Raised (outside the functor, so one identity for every scalar instance)
-   when a carry fails its before-commit verification or when an injected
-   fault makes forward progress impossible — the real protocol would spin
-   forever on a dropped publication, so the deterministic pipeline fails
-   loudly instead. *)
+exception Fault_detected = Lookback.Fault_detected
 
-(* Look-back window of the deterministic faulted pipeline, matching the
-   multicore backend's chaos shape: small, so a few hundred elements span
-   several waves. *)
-let faulted_lookback_window = 4
-
-let default_window ~pool_size = max faulted_lookback_window (2 * pool_size)
-
-(* Chunk-size policy, shared with the multicore backend: chunks below
-   [min_chunk_size] lose more to protocol overhead than they gain in
-   parallelism. *)
-let min_chunk_size = 1024
-let chunks_per_domain = 8
-
-let default_chunk_size ~domains n =
-  max min_chunk_size (n / (domains * chunks_per_domain))
-
-let fallback_chunks = 8
-let fallback_chunk_size n =
-  max min_chunk_size ((n + fallback_chunks - 1) / fallback_chunks)
+let spans =
+  {
+    Lookback.cat = Trace.Scan;
+    chunk = "scan.chunk";
+    publish = "scan.publish";
+    lookback = "scan.lookback";
+  }
 
 (* Monomorphic phase-1 kernel on unboxed float64 storage: the chunk's
    composed affine operator (A, B) — A the ordered product of the a's, B
@@ -102,14 +86,7 @@ let chain_i (a : int array) (b : int array) (y : int array) ~base ~len ~y0 =
   done
 
 module Make (S : Plr_util.Scalar.S) = struct
-  let poison =
-    match S.kind with
-    | Plr_util.Scalar.Floating -> S.of_float Float.nan
-    | Plr_util.Scalar.Integer -> S.of_int 0x5EED_BAD
-
-  (* A deterministic wrong value for carry corruption: distinguishable
-     from the original for every scalar domain. *)
-  let corrupt v = S.add (S.mul v (S.of_int 3)) (S.of_int 41)
+  module Damage = Faults.Damage (S)
 
   let check_lengths name (a : S.t array) (b : S.t array) =
     if Array.length a <> Array.length b then
@@ -310,8 +287,8 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* -------------------------------------------- two-phase chunked run *)
 
   (* The chunk-level operations of one run, specialized to the storage
-     the scalar representation admits; the look-back schedule below is
-     written once against this record. *)
+     the scalar representation admits; [carry_ops] turns them into the
+     look-back engine's carry instance. *)
   type kernel = {
     kaggregate : base:int -> len:int -> S.t * S.t;
     kchain : base:int -> len:int -> y0:S.t -> unit;
@@ -337,105 +314,28 @@ module Make (S : Plr_util.Scalar.S) = struct
           done);
     }
 
-  (* The decoupled look-back schedule (Merrill-Garland, PAPERS.md) over
-     operator pairs.  One task per chunk; each task
-
-     1. reduces its chunk to the aggregate pair (A, B);
-     2. publishes it and flags itself [`Aggregate`];
-     3. looks back: reads the inclusive carry of the last chunk of the
-        previous window, then folds the aggregates of the chunks between
-        that boundary and itself, in ascending order — verifying each
-        folded inclusive against the chunk's own published inclusive
-        whenever one is already visible (same boundary, same fold order,
-        hence bitwise comparable; a mismatch is a corrupted carry and
-        raises {!Fault_detected} before anything is committed);
-     4. publishes its own inclusive carry (a_prod, y_incl) — *before*
-        step 5, so successors never wait on a whole-chunk recompute;
-     5. recomputes its outputs with the serial chain from the received
-        carry.
-
-     Status flags are the only atomics; carry payloads are plain writes
-     made visible by the release/acquire pair on the flag.  Every
-     schedule folds in the same fixed order, so outputs are bitwise
-     identical across pool sizes and completion orders; a pool of size 1
-     executes the same tasks inline in index order. *)
-  let status_aggregate = 1
-  let status_inclusive = 2
-
-  let run_pooled_k ?window ~cancel ~pool ~kernel ~n ~m ~y0 () =
-    let chunks = (n + m - 1) / m in
-    let lp = Array.make chunks S.zero and lb = Array.make chunks S.zero in
-    let gp = Array.make chunks S.zero and gy = Array.make chunks S.zero in
-    let status = Array.init chunks (fun _ -> Atomic.make 0) in
-    let window =
-      match window with
-      | Some w -> max 1 w
-      | None -> default_window ~pool_size:(Pool.size pool)
-    in
-    let wait c v =
-      while Atomic.get status.(c) < v do
-        if Pool.cancelled pool then raise Pool.Stopped;
-        Domain.cpu_relax ()
-      done
-    in
-    let task c =
-      (* Chunk boundary is the cooperative preemption point: a fired
-         deadline aborts here instead of reducing another whole chunk. *)
-      Cancel.check cancel;
-      let base = c * m in
-      let len = min m (n - base) in
-      Trace.begin_span2 Trace.Scan "scan.chunk" c len;
-      let pa, pb = kernel.kaggregate ~base ~len in
-      lp.(c) <- pa;
-      lb.(c) <- pb;
-      if c > 0 then begin
-        Atomic.set status.(c) status_aggregate;
-        Trace.instant Trace.Scan "scan.publish" c status_aggregate
-      end;
-      let boundary = (c / window * window) - 1 in
-      Trace.begin_span2 Trace.Scan "scan.lookback" c (c - max 0 (boundary + 1));
-      let p = ref S.one and yv = ref y0 in
-      if boundary >= 0 then begin
-        wait boundary status_inclusive;
-        p := gp.(boundary);
-        yv := gy.(boundary)
-      end;
-      for t = max 0 (boundary + 1) to c - 1 do
-        wait t status_aggregate;
-        let p' = S.mul lp.(t) !p and y' = S.add (S.mul lp.(t) !yv) lb.(t) in
-        (* Before-commit verification: chunks in the same window fold
-           from the same boundary in the same order, so a predecessor's
-           published inclusive carry must match ours bitwise. *)
-        if
-          Atomic.get status.(t) >= status_inclusive
-          && not (carry_eq gp.(t) p' && carry_eq gy.(t) y')
-        then
-          raise
-            (Fault_detected
-               (Printf.sprintf
-                  "carry verification failed: chunk %d's published \
-                   inclusive carry disagrees with the look-back fold"
-                  t));
-        p := p';
-        yv := y'
-      done;
-      Trace.end_span ();
-      gp.(c) <- S.mul pa !p;
-      gy.(c) <- S.add (S.mul pa !yv) pb;
-      Atomic.set status.(c) status_inclusive;
-      Trace.instant Trace.Scan "scan.publish" c status_inclusive;
-      kernel.kchain ~base ~len ~y0:!yv;
-      Trace.end_span ()
-    in
-    Pool.run ~cancel pool ~tasks:chunks task
+  (* The scan carry for {!Lookback}: an operator pair — the chunk's
+     aggregate (A, B) locally, (a_prod, y_incl) inclusively — composed in
+     ascending chunk order from (1, y0).  Phase 2 recomputes the chunk's
+     outputs with the serial chain from the received carry, and the
+     before-commit check compares carries bitwise. *)
+  let carry_ops ~y0 kernel : (S.t * S.t) Lookback.ops =
+    {
+      Lookback.local = kernel.kaggregate;
+      finish = (fun ~base ~len (_, y) -> kernel.kchain ~base ~len ~y0:y);
+      compose =
+        (fun ~local:(a, b) ~prev:(p, y) -> (S.mul a p, S.add (S.mul a y) b));
+      init = Some (S.one, y0);
+      equal = (fun (p, y) (p', y') -> carry_eq p p' && carry_eq y y');
+      poison = (fun ~base:_ ~len:_ (a, _) -> (a, Damage.poison));
+      corrupt =
+        (fun ~lane (p, y) ->
+          if lane land 1 = 0 then (Damage.corrupt p, y)
+          else (p, Damage.corrupt y));
+    }
 
   let run_kernel ?window ~cancel ~pool ~kernel ~n ~m ~y0 () =
-    let chunks = (n + m - 1) / m in
-    if chunks = 1 then begin
-      Cancel.check cancel;
-      kernel.kchain ~base:0 ~len:n ~y0
-    end
-    else run_pooled_k ?window ~cancel ~pool ~kernel ~n ~m ~y0 ()
+    Lookback.run ?window ~cancel ~pool spans (carry_ops ~y0 kernel) ~n ~m
 
   (* Unboxed float64 core: build the monomorphic kernel in a context
      where matching the representation witness has refined [S.t] to
@@ -467,133 +367,44 @@ module Make (S : Plr_util.Scalar.S) = struct
         run_kernel ?window ~cancel ~pool ~kernel ~n ~m ~y0 ()
     | _ -> invalid_arg "Scan.run_int_core: not an int scalar"
 
-  (* ----------------------------------------- deterministic fault model *)
-
-  (* The same windowed look-back protocol executed sequentially under the
-     fault plan's completion permutation, with publication *visibility*
-     gated by Drop events — the scan twin of the multicore backend's
-     [run_faulted].  A chunk is runnable when every publication it would
-     spin on is visible; when no incomplete chunk is runnable the real
-     protocol would spin forever, so we raise [Fault_detected] instead.
-     The carry verification of the live protocol runs here too, against
-     every visible inclusive publication, so a corrupted carry inside the
-     window is caught before the reader commits anything. *)
+  (* The deterministic faulted scheduler over the boxed kernels.  A
+     poisoned chunk publishes a poisoned fold, and its damage must survive
+     its own phase-2 recompute, so its outputs are poisoned again after
+     the chain. *)
   let run_faulted ~faults ~(a : S.t array) ~(b : S.t array) ~y0
       (y : S.t array) ~n ~m =
-    let chunks = (n + m - 1) / m in
-    let lp = Array.make chunks S.zero and lb = Array.make chunks S.zero in
-    let gp = Array.make chunks S.zero and gy = Array.make chunks S.zero in
-    let local_vis = Array.make chunks false in
-    let global_vis = Array.make chunks false in
-    let finished = Array.make chunks false in
-    let w = faulted_lookback_window in
-    let boundary c = (c / w * w) - 1 in
-    let ready c =
-      let bnd = boundary c in
-      (bnd < 0 || global_vis.(bnd))
-      && begin
-           let ok = ref true in
-           for t = max 0 (bnd + 1) to c - 1 do
-             if not local_vis.(t) then ok := false
-           done;
-           !ok
-         end
-    in
-    let run_chunk c =
-      let base = c * m in
-      let len = min m (n - base) in
-      let pa = ref S.one and pb = ref S.zero in
-      for i = base to base + len - 1 do
-        pa := S.mul a.(i) !pa;
-        pb := S.add (S.mul a.(i) !pb) b.(i)
-      done;
-      let pa = !pa in
-      (* Poison models a corrupted partial result: the published fold and
-         the chunk's own output both carry it. *)
-      let poisoned =
-        Faults.events_at faults ~chunks Faults.Poison_chunk c <> []
-      in
-      let pb = if poisoned then poison else !pb in
-      let bnd = boundary c in
-      let p = ref S.one and yv = ref y0 in
-      if bnd >= 0 then begin
-        p := gp.(bnd);
-        yv := gy.(bnd)
-      end;
-      for t = max 0 (bnd + 1) to c - 1 do
-        let p' = S.mul lp.(t) !p and y' = S.add (S.mul lp.(t) !yv) lb.(t) in
-        if global_vis.(t) && not (carry_eq gp.(t) p' && carry_eq gy.(t) y')
-        then
-          raise
-            (Fault_detected
-               (Printf.sprintf
-                  "carry verification failed: chunk %d's published \
-                   inclusive carry disagrees with the look-back fold"
-                  t));
-        p := p';
-        yv := y'
-      done;
-      let gpub_p = ref (S.mul pa !p) in
-      let gpub_y = ref (S.add (S.mul pa !yv) pb) in
-      let lpub_p = ref pa and lpub_b = ref pb in
-      (* Corrupt both published forms after the chunk's own computation,
-         so only successors observe the damage. *)
-      List.iter
-        (fun (e : Faults.event) ->
-          if e.Faults.lane land 1 = 0 then begin
-            lpub_p := corrupt !lpub_p;
-            gpub_p := corrupt !gpub_p
-          end
-          else begin
-            lpub_b := corrupt !lpub_b;
-            gpub_y := corrupt !gpub_y
-          end)
-        (Faults.events_at faults ~chunks Faults.Corrupt_carry c);
-      lp.(c) <- !lpub_p;
-      lb.(c) <- !lpub_b;
-      gp.(c) <- !gpub_p;
-      gy.(c) <- !gpub_y;
-      if Faults.events_at faults ~chunks Faults.Drop_local c = [] then
-        local_vis.(c) <- true;
-      if Faults.events_at faults ~chunks Faults.Drop_global c = [] then
-        global_vis.(c) <- true;
-      let prev = ref !yv in
-      for i = base to base + len - 1 do
-        let v = S.add (S.mul a.(i) !prev) b.(i) in
-        y.(i) <- v;
-        prev := v
-      done;
-      if poisoned then begin
-        y.(base) <- poison;
-        y.(base + len - 1) <- poison
-      end
-    in
-    let order = Faults.permutation faults chunks in
-    let completed = ref 0 in
-    while !completed < chunks do
-      let picked = ref (-1) in
-      Array.iter
-        (fun c ->
-          if !picked < 0 && (not finished.(c)) && ready c then picked := c)
-        order;
-      if !picked < 0 then
-        raise
-          (Fault_detected
-             (Printf.sprintf
-                "look-back stall: %d of %d chunks blocked on carry \
-                 publications that were dropped"
-                (chunks - !completed) chunks))
-      else begin
-        run_chunk !picked;
-        finished.(!picked) <- true;
-        incr completed
-      end
-    done
+    let ops = carry_ops ~y0 (generic_kernel ~a ~b y) in
+    let poisoned = Array.make ((n + m - 1) / m) false in
+    Lookback.run_faulted ~faults ~n ~m
+      {
+        ops with
+        poison =
+          (fun ~base ~len c ->
+            poisoned.(base / m) <- true;
+            ops.poison ~base ~len c);
+        finish =
+          (fun ~base ~len c ->
+            ops.finish ~base ~len c;
+            if poisoned.(base / m) then begin
+              y.(base) <- Damage.poison;
+              y.(base + len - 1) <- Damage.poison
+            end);
+      }
 
   (* ---------------------------------------------------- entry points *)
 
   let resolve_pool ?pool ?domains () =
     match pool with Some p -> p | None -> Pool.get ?domains ()
+
+  (* Chunk length of an [n]-element run: [chunk_size] when given, else
+     [default]. *)
+  let chunk_len ?chunk_size ~default n =
+    min (match chunk_size with Some c -> max 1 c | None -> default) n
+
+  (* One engine run inside its "scan.run" span. *)
+  let traced_run ~n ~m f =
+    Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
+    Fun.protect ~finally:Trace.end_span f
 
   let run ?(faults = Faults.none) ?(cancel = Cancel.none) ?pool ?domains
       ?chunk_size ?window ?(y0 = S.zero) a b =
@@ -603,61 +414,42 @@ module Make (S : Plr_util.Scalar.S) = struct
     else if not (Faults.is_none faults) then begin
       (* Chaos replay stays on the boxed reference kernels, sequentially,
          and needs no pool. *)
-      let chunk_size =
-        match chunk_size with
-        | Some c -> max 1 c
-        | None -> fallback_chunk_size n
+      let m =
+        chunk_len ?chunk_size ~default:(Lookback.fallback_chunk_size n) n
       in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
       let y = Array.make n S.zero in
-      match run_faulted ~faults ~a ~b ~y0 y ~n ~m with
-      | () ->
-          Trace.end_span ();
-          y
-      | exception e ->
-          Trace.end_span ();
-          raise e
+      traced_run ~n ~m (fun () -> run_faulted ~faults ~a ~b ~y0 y ~n ~m);
+      y
     end
     else begin
       let pool = resolve_pool ?pool ?domains () in
-      let chunk_size =
-        match chunk_size with
-        | Some c -> max 1 c
-        | None -> default_chunk_size ~domains:(Pool.size pool) n
+      let m =
+        chunk_len ?chunk_size
+          ~default:(Lookback.default_chunk_size ~domains:(Pool.size pool) n)
+          n
       in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
       (* Storage dispatch: floats convert to unboxed Buf storage at
          this API boundary only; native ints run in place on their
          (already flat) arrays; everything else takes the generic
          boxed kernels.  All paths run the identical schedule and
          operation order, so outputs are bitwise identical. *)
-      let dispatch () : S.t array =
-        match S.rep with
-        | Plr_util.Scalar.Float_rep _ ->
-            let ab = Buf.of_array a and bb = Buf.of_array b in
-            let yb = Buf.create n in
-            run_float_core ?window ~cancel ~pool ~n ~m ~y0 ab bb yb;
-            Buf.to_array yb
-        | Plr_util.Scalar.Int_rep ->
-            let y = Array.make n S.zero in
-            run_int_core ?window ~cancel ~pool ~n ~m ~y0 a b y;
-            y
-        | Plr_util.Scalar.Other_rep ->
-            let y = Array.make n S.zero in
-            run_kernel ?window ~cancel ~pool
-              ~kernel:(generic_kernel ~a ~b y)
-              ~n ~m ~y0 ();
-            y
-      in
-      match dispatch () with
-      | y ->
-          Trace.end_span ();
-          y
-      | exception e ->
-          Trace.end_span ();
-          raise e
+      traced_run ~n ~m (fun () : S.t array ->
+          match S.rep with
+          | Plr_util.Scalar.Float_rep _ ->
+              let ab = Buf.of_array a and bb = Buf.of_array b in
+              let yb = Buf.create n in
+              run_float_core ?window ~cancel ~pool ~n ~m ~y0 ab bb yb;
+              Buf.to_array yb
+          | Plr_util.Scalar.Int_rep ->
+              let y = Array.make n S.zero in
+              run_int_core ?window ~cancel ~pool ~n ~m ~y0 a b y;
+              y
+          | Plr_util.Scalar.Other_rep ->
+              let y = Array.make n S.zero in
+              run_kernel ?window ~cancel ~pool
+                ~kernel:(generic_kernel ~a ~b y)
+                ~n ~m ~y0 ();
+              y)
     end
 
   (* Buf-in/Buf-out entry for float scalars: no boxed conversion at all,
@@ -671,18 +463,13 @@ module Make (S : Plr_util.Scalar.S) = struct
     if Buf.length dst < n then invalid_arg "Scan.run_into: dst too short";
     if n > 0 then begin
       let pool = resolve_pool ?pool ?domains () in
-      let chunk_size =
-        match chunk_size with
-        | Some c -> max 1 c
-        | None -> default_chunk_size ~domains:(Pool.size pool) n
+      let m =
+        chunk_len ?chunk_size
+          ~default:(Lookback.default_chunk_size ~domains:(Pool.size pool) n)
+          n
       in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
-      match run_float_core ?window ~cancel ~pool ~n ~m ~y0 a b dst with
-      | () -> Trace.end_span ()
-      | exception e ->
-          Trace.end_span ();
-          raise e
+      traced_run ~n ~m (fun () ->
+          run_float_core ?window ~cancel ~pool ~n ~m ~y0 a b dst)
     end
 
   (* -------------------------------------------------------- streaming *)
@@ -905,7 +692,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           t.pos <- t.pos + 1 (* a lost position is part of losing memory *)
       | Some Corrupt_state ->
           t.armed <- None;
-          t.y <- corrupt t.y
+          t.y <- Damage.corrupt t.y
       | _ -> ()
 
     let verify_state t =

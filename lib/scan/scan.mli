@@ -11,11 +11,13 @@
 
     {v (a2, b2) . (a1, b1) = (a2 * a1, a2 * b1 + b2) v}
 
-    (ScanWeaver, PAPERS.md).  The chunked multicore path reuses the
-    decoupled look-back protocol of {!Plr_multicore.Multicore} verbatim:
-    each chunk publishes its aggregate pair, looks back to the previous
-    window boundary, folds the intervening aggregates in a fixed order,
-    and publishes its inclusive carry [(a_prod, y_incl)] {e before}
+    (ScanWeaver, PAPERS.md).  The chunked multicore path is the
+    operator-pair instance of {!Plr_exec.Lookback}, the one look-back
+    engine shared with {!Plr_multicore.Multicore}: each chunk publishes
+    its aggregate pair, looks back to the previous window boundary, folds
+    the intervening aggregates in a fixed order (checking each fold
+    bitwise against any inclusive carry already published), and
+    publishes its inclusive carry [(a_prod, y_incl)] {e before}
     recomputing its own outputs from the received carry.
 
     {b Determinism contract.}  Because every schedule (any pool size,
@@ -38,18 +40,10 @@ module Cancel = Plr_exec.Cancel
 module Buf = Plr_util.Buf
 
 exception Fault_detected of string
-(** Raised (outside the functor, one identity for every scalar) when a
-    carry publication fails verification against the folded look-back
-    value, or when an injected fault makes forward progress impossible
-    (a dropped publication the real protocol would spin on forever). *)
-
-val faulted_lookback_window : int
-(** Look-back window of the deterministic faulted pipeline (4, matching
-    the multicore backend's chaos shape). *)
-
-val default_window : pool_size:int -> int
-val min_chunk_size : int
-val default_chunk_size : domains:int -> int -> int
+(** The same exception as {!Plr_exec.Lookback.Fault_detected}: a carry
+    publication failed verification against the folded look-back value,
+    or an injected fault made forward progress impossible (a dropped
+    publication the real protocol would spin on forever). *)
 
 module Make (S : Plr_util.Scalar.S) : sig
   val serial : ?y0:S.t -> S.t array -> S.t array -> S.t array

@@ -1,5 +1,6 @@
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
+module Lookback = Plr_exec.Lookback
 module Trace = Plr_trace.Trace
 module Opts = Plr_factors.Opts
 module Tune = Plr_core.Tune
@@ -373,8 +374,7 @@ module Make (S : Plr_util.Scalar.S) = struct
                 Tune.chunk_size = cfg.chunk_size;
                 domains = Pool.size sh.spool;
                 window =
-                  Plr_multicore.Multicore.default_window
-                    ~pool_size:(Pool.size sh.spool);
+                  Lookback.default_window ~pool_size:(Pool.size sh.spool);
               },
               Tune.Heuristic )
     in
@@ -942,9 +942,8 @@ module Make (S : Plr_util.Scalar.S) = struct
       Plan_cache.find_or_add sh.sscan_cache (scan_key n) (fun () ->
           let domains = Pool.size sh.spool in
           {
-            schunk =
-              Plr_scan.Scan.default_chunk_size ~domains (scan_bucket n);
-            swindow = Plr_scan.Scan.default_window ~pool_size:domains;
+            schunk = Lookback.default_chunk_size ~domains (scan_bucket n);
+            swindow = Lookback.default_window ~pool_size:domains;
           })
     in
     Metrics.Counter.incr
@@ -962,7 +961,7 @@ module Make (S : Plr_util.Scalar.S) = struct
      domain (the serial chain *is* the reference at these lengths); large
      ones take the pooled look-back engine under [exec_lock], with the
      deadline armed as a mid-flight cancellation token.  A carry fault
-     the engine detects ({!Plr_scan.Scan.Fault_detected}) degrades to the
+     the engine detects ({!Lookback.Fault_detected}) degrades to the
      serial evaluator — loud, counted, never silent. *)
   let scan_attempt ~t0 ?deadline ~served t home entry a b =
     if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
@@ -1005,7 +1004,7 @@ module Make (S : Plr_util.Scalar.S) = struct
             | exception Cancel.Cancelled ->
                 Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
                 Error Deadline_exceeded
-            | exception Plr_scan.Scan.Fault_detected _ ->
+            | exception Lookback.Fault_detected _ ->
                 Metrics.Counter.incr t.metrics.Metrics.degraded;
                 (match Sc.serial a b with
                 | y -> scan_guarded t y

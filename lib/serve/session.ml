@@ -199,7 +199,7 @@ module Make (S : Plr_util.Scalar.S) = struct
               ~chunk_size:faulted_chunk t.pure tseq
           with
           | y -> y
-          | exception Plr_multicore.Multicore.Fault_detected msg ->
+          | exception Plr_exec.Lookback.Fault_detected msg ->
               raise (Detected msg)
           | exception e -> raise (Detected (Printexc.to_string e))
         in

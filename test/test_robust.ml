@@ -221,7 +221,16 @@ let test_multicore_lookback_fault_classes () =
   (* corrupted carries and poisoned chunks are visible as divergence (the
      guard layer converts that into degradation, chaos pins zero-silent) *)
   expect_divergence "Corrupt_carry" Faults.Corrupt_carry 1;
-  expect_divergence "Poison_chunk" Faults.Poison_chunk 2
+  expect_divergence "Poison_chunk" Faults.Poison_chunk 2;
+  (* an order-0 (FIR) carry has no lanes, so corrupting it changes
+     nothing: routed around, bit-exact *)
+  let fir = Signature.create_fir ~is_zero:(fun c -> c = 0) ~forward:[| 1; 2 |] in
+  let faults =
+    Faults.of_events
+      [ { Faults.kind = Faults.Corrupt_carry; chunk = 1; lane = 0; delay = 0 } ]
+  in
+  check_ints "FIR Corrupt_carry: routed around, bit-exact" (Si.full fir input)
+    (Mi.run ~faults ~chunk_size:16 fir input)
 
 let test_engine_benign_faults_exact () =
   (* Reordering and flag delays are schedules the decoupled look-back

@@ -196,14 +196,22 @@ let test_multicore_int_bitwise () =
         (fun pool ->
           List.iter
             (fun chunk_size ->
-              let y = Sc_i.run ?chunk_size ~pool a b in
-              check_ints
-                (Printf.sprintf "run = serial (n %d, pool %d, chunk %s)" n
-                   (Pool.size pool)
-                   (match chunk_size with
-                   | None -> "auto"
-                   | Some c -> string_of_int c))
-                expected y)
+              (* window n >= chunks: every chunk folds from y0 *)
+              List.iter
+                (fun window ->
+                  let y = Sc_i.run ?chunk_size ?window ~pool a b in
+                  check_ints
+                    (Printf.sprintf
+                       "run = serial (n %d, pool %d, chunk %s, window %s)" n
+                       (Pool.size pool)
+                       (match chunk_size with
+                       | None -> "auto"
+                       | Some c -> string_of_int c)
+                       (match window with
+                       | None -> "auto"
+                       | Some w -> string_of_int w))
+                    expected y)
+                [ None; Some 1; Some 2; Some n ])
             [ None; Some 16; Some 37 ])
         [ pool1; pool3 ])
     [ 1; 2; 3; 7; 65; 1000; 4097 ];
@@ -219,6 +227,14 @@ let test_multicore_float_determinism () =
   let y3 = Sc_f.run ~pool:pool3 ~chunk_size:64 a b in
   (* Bitwise identical across schedules (the determinism contract)... *)
   bitwise_floats "pool 1 = pool 3" y1 y3;
+  (* ...and across look-back windows: 1 (no fold, so the before-commit
+     check never runs), 2, and >= the 47 chunks. *)
+  List.iter
+    (fun window ->
+      let label = Printf.sprintf "pool 1 = pool 3 (window %d)" window in
+      bitwise_floats label y1 (Sc_f.run ~pool:pool1 ~chunk_size:64 ~window a b);
+      bitwise_floats label y1 (Sc_f.run ~pool:pool3 ~chunk_size:64 ~window a b))
+    [ 1; 2; 64 ];
   (* ...and within tolerance of serial (carries are reassociated). *)
   Array.iteri
     (fun i v ->
