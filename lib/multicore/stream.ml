@@ -6,6 +6,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
   module Pool = Plr_exec.Pool
   module Lookback = Plr_exec.Lookback
+  module Faults = Plr_gpusim.Faults
 
   type t = {
     signature : S.t Signature.t;
@@ -109,21 +110,20 @@ module Make (S : Plr_util.Scalar.S) = struct
      range split passes its offset as [q0]; each range sums the lists in
      the same order, keeping the output bit-identical to the serial
      sweep. *)
-  let correct_boundary t fp y ~n =
-    let parts = sweep_parts t n in
-    if parts <= 1 then
+  let correct_boundary t ~n apply_list =
+    let lists ~base ~len =
       for j = 0 to t.k - 1 do
-        FP.apply_list fp ~j ~carry:t.carries.(j) y ~base:0 ~len:n
+        apply_list ~q0:base ~j ~carry:t.carries.(j) ~base ~len
       done
+    in
+    let parts = sweep_parts t n in
+    if parts <= 1 then lists ~base:0 ~len:n
     else begin
       let per = (n + parts - 1) / parts in
       Pool.run t.pool ~tasks:parts (fun p ->
           let lo = p * per in
           let len = min per (n - lo) in
-          if len > 0 then
-            for j = 0 to t.k - 1 do
-              FP.apply_list ~q0:lo fp ~j ~carry:t.carries.(j) y ~base:lo ~len
-            done)
+          if len > 0 then lists ~base:lo ~len)
     end
 
   (* Save the new carry/input-tail state in place (no per-call
@@ -146,11 +146,22 @@ module Make (S : Plr_util.Scalar.S) = struct
          else tail.(nh - 1 - (back - n)))
     done
 
+  (* Correct the locally solved chunk against the carries from everything
+     processed so far (there are none before the first chunk), then save
+     the new state.  [ensure_plan] has installed a plan. *)
+  let correct_and_save t x ~n apply_list read_out =
+    (match t.fplan with
+    | Some fp when t.started -> correct_boundary t ~n (apply_list fp)
+    | _ -> ());
+    save_carries_with t ~n read_out;
+    save_input_tail t x ~n;
+    t.started <- true
+
   (* Unboxed float path: FIR into the reused [fbuf_in] scratch, solve into
      [fbuf_out] through [Multicore.run_into] (no boxed conversion), sweep
      the boundary correction directly on the output buffer.  Only the
      returned chunk is a fresh boxed array — the caller owns it. *)
-  let process_f t (x : S.t array) ~n : S.t array =
+  let process_f t (x : S.t array) ~n ~chunk_size : S.t array =
     match S.rep with
     | Plr_util.Scalar.Float_rep rounding ->
         let f32 = rounding = Plr_util.Scalar.Round_f32 in
@@ -188,63 +199,57 @@ module Make (S : Plr_util.Scalar.S) = struct
             done
           done
         end;
-        ensure_plan t n;
-        let plan = t.fplan in
-        Multicore.run_into ~opts:t.opts ?plan ~pool:t.pool
-          ~chunk_size:
-            (Lookback.default_chunk_size ~domains:(Pool.size t.pool) n)
+        Multicore.run_into ~opts:t.opts ?plan:t.fplan ~pool:t.pool ~chunk_size
           t.pure ~src ~dst;
-        (if t.started then
-           match plan with
-           | None -> assert false (* ensure_plan always installs a plan *)
-           | Some fp ->
-               let parts = sweep_parts t n in
-               if parts <= 1 then
-                 for j = 0 to t.k - 1 do
-                   FP.apply_list_f fp ~j ~carry:t.carries.(j) dst ~base:0 ~len:n
-                 done
-               else begin
-                 let per = (n + parts - 1) / parts in
-                 Pool.run t.pool ~tasks:parts (fun p ->
-                     let lo = p * per in
-                     let len = min per (n - lo) in
-                     if len > 0 then
-                       for j = 0 to t.k - 1 do
-                         FP.apply_list_f ~q0:lo fp ~j ~carry:t.carries.(j) dst
-                           ~base:lo ~len
-                       done)
-               end);
-        save_carries_with t ~n (fun i -> A1.unsafe_get dst i);
-        save_input_tail t x ~n;
-        t.started <- true;
+        correct_and_save t x ~n
+          (fun fp ~q0 ~j ~carry -> FP.apply_list_f ~q0 fp ~j ~carry dst)
+          (fun i -> A1.unsafe_get dst i);
         Buf.to_array dst
     | _ -> invalid_arg "Stream.process_f: not a float scalar"
 
-  let process t x =
+  (* The local solves share the grown factor plan with the boundary
+     sweep. *)
+  let process ?(faults = Faults.none) t x =
     let n = Array.length x in
     if n = 0 then [||]
-    else
+    else begin
+      ensure_plan t n;
+      let faulted = not (Faults.is_none faults) in
+      let chunk_size =
+        if faulted then Plr_exec.Recovery.faulted_chunk
+        else Lookback.default_chunk_size ~domains:(Pool.size t.pool) n
+      in
       match S.rep with
-      | Plr_util.Scalar.Float_rep _ -> process_f t x ~n
+      | Plr_util.Scalar.Float_rep _ when not faulted ->
+          process_f t x ~n ~chunk_size
       | _ ->
-          let tseq = fir_with_history t x in
-          ensure_plan t n;
-          (* local parallel solve of the pure recurrence; the grown factor
-             plan is shared with the boundary sweep *)
           let y =
-            Multicore.run ~opts:t.opts ?plan:t.fplan ~pool:t.pool
-              ~chunk_size:
-                (Lookback.default_chunk_size ~domains:(Pool.size t.pool) n)
-              t.pure tseq
+            Multicore.run ~opts:t.opts ~faults ?plan:t.fplan ~pool:t.pool
+              ~chunk_size t.pure (fir_with_history t x)
           in
-          (* correct with the carries from everything processed so far *)
-          (if t.started then
-             match t.fplan with
-             | None -> assert false (* ensure_plan always installs a plan *)
-             | Some fp -> correct_boundary t fp y ~n);
-          (* save the new state *)
-          save_carries_with t ~n (fun i -> y.(i));
-          save_input_tail t x ~n;
-          t.started <- true;
+          correct_and_save t x ~n
+            (fun fp ~q0 ~j ~carry -> FP.apply_list ~q0 fp ~j ~carry y)
+            (fun i -> y.(i));
           y
-  end
+    end
+
+  (* Declared last so that unannotated field accesses above resolve to
+     [t]. *)
+  type state = {
+    carries : S.t array;
+    input_tail : S.t array;
+    started : bool;
+  }
+
+  let state (t : t) =
+    {
+      carries = Array.copy t.carries;
+      input_tail = Array.copy t.input_tail;
+      started = t.started;
+    }
+
+  let restore (t : t) (st : state) =
+    Array.blit st.carries 0 t.carries 0 t.k;
+    Array.blit st.input_tail 0 t.input_tail 0 (Array.length t.input_tail);
+    t.started <- st.started
+end

@@ -134,15 +134,10 @@ module Make (S : Plr_util.Scalar.S) = struct
       digest : int;
     }
 
-    (* FNV-style fold over the polymorphic per-element hash: full scalar
-       content (float bits included) without [Hashtbl.hash]'s depth cap. *)
+    (* The recovery engine's digest: full scalar content, float bits
+       included. *)
     let compute_digest ~pos ~carries ~input_tail =
-      let mix h v = (h * 0x01000193) lxor Hashtbl.hash v in
-      let h = ref (0x811C9DC5 lxor pos) in
-      Array.iter (fun v -> h := mix !h v) carries;
-      h := mix !h (-1);
-      Array.iter (fun v -> h := mix !h v) input_tail;
-      !h land max_int
+      Plr_exec.Recovery.digest ~pos [ carries; input_tail ]
 
     let make (cp : state) ~pos ~carries ~input_tail =
       if Array.length carries <> cp.k then

@@ -475,19 +475,16 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* -------------------------------------------------------- streaming *)
 
   module Stream = struct
-    type fault = Crash | Corrupt_state | Engine_fault of int
+    module Recovery = Plr_exec.Recovery
 
-    let fault_to_string = function
-      | Crash -> "crash"
-      | Corrupt_state -> "corrupt-state"
-      | Engine_fault seed -> Printf.sprintf "engine-fault(seed %d)" seed
+    type fault = Recovery.fault = Crash | Corrupt_state | Engine_fault of int
+
+    let fault_to_string = Recovery.fault_to_string
 
     type segment =
       | Data of S.t array * S.t array
       | Gap of int
       | Ff of S.t * S.t * int
-
-    type checkpoint = { cp_pos : int; cp_y : S.t; cp_digest : int }
 
     type stats = {
       position : int;
@@ -498,262 +495,126 @@ module Make (S : Plr_util.Scalar.S) = struct
       replayed : int;
     }
 
-    type t = {
+    (* What recovery reads and writes: the carry and the position. *)
+    type live = {
       pool : Pool.t;
-      tol : float;
-      checkpoint_every : int;
       mutable y : S.t;
       mutable pos : int;
-      mutable digest : int; (* of the live state; a mismatch = corruption *)
-      mutable checkpoint : checkpoint; (* last good snapshot *)
-      mutable journal : segment list; (* since the checkpoint, newest first *)
-      mutable armed : fault option;
-      mutable n_checkpoints : int;
-      mutable n_recoveries : int;
       mutable n_fastforwards : int;
-      mutable n_detected : int;
-      mutable n_replayed : int;
     }
 
-    (* Engine-fault injections run with this fixed chunk size (the chaos
-       harness's choice) so small stream pieces still span several chunks
-       of the look-back protocol. *)
-    let faulted_chunk = 16
+    (* Snapshots are (carry, position). *)
+    type t = { live : live; log : (S.t * int, segment, S.t array) Recovery.t }
 
     let default_checkpoint_every = 1024
 
-    let stream_poison = S.of_int 0x5EED_BAD
+    let state_digest ~pos ~y = Recovery.digest ~pos [ [| y |] ]
 
-    (* The state is two words, so the digest is simply a hash of the pair
-       (rendered, so floats hash by value, not address). *)
-    let state_digest ~pos ~y = Hashtbl.hash (pos, S.to_string y)
+    (* A gap or a fast-forward: the carry pair *is* the fast-forward
+       operator, so [steps] inputs cost one compose (none for a gap of
+       identity steps, whose operator leaves the carry alone). *)
+    let advance l ~steps f =
+      if steps > 0 then begin
+        Trace.begin_span2 Trace.Scan "scan.session.ff" l.pos steps;
+        l.y <- f l.y;
+        l.pos <- l.pos + steps;
+        l.n_fastforwards <- l.n_fastforwards + 1;
+        Trace.end_span ()
+      end
+
+    let apply l = function
+      | Data (a, b) ->
+          let n = Array.length a in
+          if n = 0 then [||]
+          else begin
+            (* The serial chain from the exact carry: bitwise identical
+               to the serial reference over the concatenated stream. *)
+            let y = Array.make n S.zero in
+            serial_chain ~y0:l.y ~a ~b y;
+            l.y <- y.(n - 1);
+            l.pos <- l.pos + n;
+            y
+          end
+      | Gap n ->
+          advance l ~steps:n Fun.id;
+          [||]
+      | Ff (a_prod, b_fold, steps) ->
+          advance l ~steps (fun y -> S.add (S.mul a_prod y) b_fold);
+          [||]
+
+    let ops ~tol l : (S.t * int, segment, S.t array) Recovery.ops =
+      {
+        position = (fun () -> l.pos);
+        digest = (fun () -> state_digest ~pos:l.pos ~y:l.y);
+        snapshot = (fun () -> (l.y, l.pos));
+        restore =
+          (fun (y, pos) ->
+            l.y <- y;
+            l.pos <- pos);
+        apply = apply l;
+        faulted =
+          (fun ~seed -> function
+            | Data (a, b) ->
+                let faults =
+                  Recovery.fault_plan ~seed ~n:(Array.length a) ~k:1 ~lanes:2
+                in
+                run ~faults ~pool:l.pool ~chunk_size:Recovery.faulted_chunk
+                  ~y0:l.y a b
+            | Gap _ | Ff _ -> [||]);
+        agree =
+          (fun faulted clean ->
+            Array.for_all2 (fun f c -> S.approx_equal ~tol c f) faulted clean);
+        data_length =
+          (function Data (a, _) -> Array.length a | Gap _ | Ff _ -> 0);
+        crash =
+          (fun () ->
+            l.y <- Damage.poison;
+            (* a lost position is part of losing memory *)
+            l.pos <- l.pos + 1);
+        corrupt = (fun () -> l.y <- Damage.corrupt l.y);
+        note = ignore;
+      }
+
+    let spans =
+      {
+        Recovery.cat = Trace.Scan;
+        checkpoint = "scan.session.checkpoint";
+        recover = "scan.session.recover";
+      }
 
     let create ?pool ?domains ?(checkpoint_every = default_checkpoint_every)
         ?(tol = 1e-3) ?(y0 = S.zero) () =
       let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
-      let digest = state_digest ~pos:0 ~y:y0 in
-      {
-        pool;
-        tol;
-        checkpoint_every = max 1 checkpoint_every;
-        y = y0;
-        pos = 0;
-        digest;
-        checkpoint = { cp_pos = 0; cp_y = y0; cp_digest = digest };
-        journal = [];
-        armed = None;
-        n_checkpoints = 0;
-        n_recoveries = 0;
-        n_fastforwards = 0;
-        n_detected = 0;
-        n_replayed = 0;
-      }
+      let live = { pool; y = y0; pos = 0; n_fastforwards = 0 } in
+      { live; log = Recovery.create ~checkpoint_every spans (ops ~tol live) }
 
-    let position t = t.pos
-    let value t = t.y
+    let position t = t.live.pos
+    let value t = t.live.y
 
     let stats t =
+      let r = Recovery.stats t.log in
       {
-        position = t.pos;
-        checkpoints = t.n_checkpoints;
-        recoveries = t.n_recoveries;
-        fastforwards = t.n_fastforwards;
-        detected = t.n_detected;
-        replayed = t.n_replayed;
+        position = t.live.pos;
+        checkpoints = r.Recovery.checkpoints;
+        recoveries = r.Recovery.recoveries;
+        fastforwards = t.live.n_fastforwards;
+        detected = r.Recovery.detected;
+        replayed = r.Recovery.replayed;
       }
-
-    let live_digest t = state_digest ~pos:t.pos ~y:t.y
-
-    exception Detected of string
-
-    (* The faulted solve: run the engine under the injected plan and
-       check the whole piece against the serial reference.  Anything
-       that raised or diverged is [Detected] — the stream never lets a
-       faulted piece's output (or state update) through unverified, so
-       silent divergence is structurally impossible on this path. *)
-    let solve_piece t ~fault_seed ~a ~b =
-      match fault_seed with
-      | None ->
-          (* The serial chain from the exact carry: bitwise identical to
-             the serial reference over the concatenated stream. *)
-          let y = Array.make (Array.length a) S.zero in
-          serial_chain ~y0:t.y ~a ~b y;
-          y
-      | Some seed ->
-          let n = Array.length a in
-          let m = max 1 (min faulted_chunk n) in
-          let chunks = (n + m - 1) / m in
-          let faults =
-            Faults.random ~seed ~chunks ~lanes:2 ~max_events:3 ()
-          in
-          let y =
-            match
-              run ~faults ~pool:t.pool ~chunk_size:faulted_chunk ~y0:t.y a b
-            with
-            | y -> y
-            | exception Fault_detected msg -> raise (Detected msg)
-            | exception e -> raise (Detected (Printexc.to_string e))
-          in
-          let expected = serial ~y0:t.y a b in
-          Array.iteri
-            (fun i v ->
-              if not (S.approx_equal ~tol:t.tol v y.(i)) then
-                raise
-                  (Detected
-                     (Printf.sprintf "faulted scan diverged at index %d" i)))
-            expected;
-          y
-
-    (* Process one data piece: no journaling, no checkpointing — exactly
-       the state transition, so recovery replay goes through this same
-       code and reproduces the state bit-for-bit. *)
-    let process_data ?fault_seed t ~a ~b =
-      let n = Array.length a in
-      if n = 0 then [||]
-      else begin
-        let y = solve_piece t ~fault_seed ~a ~b in
-        t.y <- y.(n - 1);
-        t.pos <- t.pos + n;
-        y
-      end
-
-    (* A gap of [n] identity steps: the carry is the fast-forward
-       operator's fixpoint, so nothing moves but the position. *)
-    let gap_advance t n =
-      Trace.begin_span2 Trace.Scan "scan.session.ff" t.pos n;
-      t.pos <- t.pos + n;
-      t.n_fastforwards <- t.n_fastforwards + 1;
-      Trace.end_span ()
-
-    (* One compose: the carry pair *is* the fast-forward operator. *)
-    let ff_advance t ~a_prod ~b_fold ~steps =
-      Trace.begin_span2 Trace.Scan "scan.session.ff" t.pos steps;
-      t.y <- S.add (S.mul a_prod t.y) b_fold;
-      t.pos <- t.pos + steps;
-      t.n_fastforwards <- t.n_fastforwards + 1;
-      Trace.end_span ()
-
-    (* ---------------------------------------------- checkpoint/recover *)
-
-    let take_checkpoint t =
-      Trace.begin_span2 Trace.Scan "scan.session.checkpoint" t.pos
-        (List.length t.journal);
-      t.checkpoint <-
-        { cp_pos = t.pos; cp_y = t.y; cp_digest = live_digest t };
-      t.journal <- [];
-      t.n_checkpoints <- t.n_checkpoints + 1;
-      Trace.end_span ()
-
-    let maybe_checkpoint t =
-      if t.pos - t.checkpoint.cp_pos >= t.checkpoint_every then
-        take_checkpoint t
-
-    let segment_data_length = function
-      | Data (a, _) -> Array.length a
-      | Gap _ | Ff _ -> 0
-
-    (* Restore the last checkpoint and bring the state back to the
-       current position by replaying the journal — data pieces re-run
-       through the exact original code path (bitwise-identical state),
-       gaps and fast-forwards re-run the same O(1) composes. *)
-    let recover t =
-      let cp = t.checkpoint in
-      if state_digest ~pos:cp.cp_pos ~y:cp.cp_y <> cp.cp_digest then
-        failwith "Scan.Stream: last checkpoint is corrupted, cannot recover";
-      let journal = List.rev t.journal in
-      let replayed =
-        List.fold_left (fun acc s -> acc + segment_data_length s) 0 journal
-      in
-      Trace.begin_span2 Trace.Scan "scan.session.recover" cp.cp_pos replayed;
-      t.y <- cp.cp_y;
-      t.pos <- cp.cp_pos;
-      List.iter
-        (function
-          | Data (a, b) -> ignore (process_data t ~a ~b : S.t array)
-          | Gap n -> gap_advance t n
-          | Ff (a_prod, b_fold, steps) -> ff_advance t ~a_prod ~b_fold ~steps)
-        journal;
-      t.n_recoveries <- t.n_recoveries + 1;
-      t.n_replayed <- t.n_replayed + replayed;
-      Trace.end_span ()
-
-    (* ---------------------------------------------------- fault intake *)
-
-    let inject t fault = t.armed <- Some fault
-
-    (* State-corrupting faults strike before the call's work; the digest
-       check below then discovers them exactly as it would discover real
-       memory corruption. *)
-    let apply_armed_corruption t =
-      match t.armed with
-      | Some Crash ->
-          t.armed <- None;
-          t.y <- stream_poison;
-          t.pos <- t.pos + 1 (* a lost position is part of losing memory *)
-      | Some Corrupt_state ->
-          t.armed <- None;
-          t.y <- Damage.corrupt t.y
-      | _ -> ()
-
-    let verify_state t =
-      if live_digest t <> t.digest then begin
-        t.n_detected <- t.n_detected + 1;
-        recover t;
-        t.digest <- live_digest t
-      end
-
-    let enter t fault =
-      (match fault with Some f -> inject t f | None -> ());
-      apply_armed_corruption t;
-      verify_state t;
-      match t.armed with
-      | Some (Engine_fault seed) ->
-          t.armed <- None;
-          Some seed
-      | _ -> None
-
-    let finish_segment t seg =
-      t.journal <- seg :: t.journal;
-      maybe_checkpoint t;
-      t.digest <- live_digest t
 
     let process ?fault t a b =
       check_lengths "Scan.Stream.process" a b;
-      let fault_seed = enter t fault in
-      let n = Array.length a in
-      if n = 0 then [||]
-      else begin
-        let y =
-          match process_data ?fault_seed t ~a ~b with
-          | y -> y
-          | exception Detected _ ->
-              (* The faulted engine raised or diverged before any state
-                 was committed; rebuild from the checkpoint anyway (the
-                 state is no longer trusted) and re-run cleanly. *)
-              t.n_detected <- t.n_detected + 1;
-              recover t;
-              process_data t ~a ~b
-        in
-        finish_segment t (Data (Array.copy a, Array.copy b));
-        y
-      end
+      Recovery.step ?fault t.log (Data (Array.copy a, Array.copy b))
 
     let skip ?fault t n =
       if n < 0 then invalid_arg "Scan.Stream.skip: negative gap";
-      ignore (enter t fault : int option);
-      if n > 0 then begin
-        gap_advance t n;
-        finish_segment t (Gap n)
-      end
+      ignore (Recovery.step ?fault t.log (Gap n) : S.t array)
 
     let fast_forward ?fault t ~a_prod ~b_fold ~steps =
       if steps < 0 then invalid_arg "Scan.Stream.fast_forward: negative steps";
-      ignore (enter t fault : int option);
-      if steps > 0 then begin
-        ff_advance t ~a_prod ~b_fold ~steps;
-        finish_segment t (Ff (a_prod, b_fold, steps))
-      end
+      ignore
+        (Recovery.step ?fault t.log (Ff (a_prod, b_fold, steps)) : S.t array)
 
-    let checkpoint_now t = take_checkpoint t
+    let checkpoint_now t = Recovery.checkpoint_now t.log
   end
 end

@@ -135,22 +135,25 @@ module Make (S : Plr_util.Scalar.S) : sig
       allocation.  Raises [Invalid_argument] for non-float scalars or
       when [dst] is shorter than the inputs. *)
 
-  (** Streaming scan sessions with checkpoint/replay recovery, mirroring
-      {!Plr_serve.Session}: the carry pair {e is} the fast-forward
-      operator, so a gap is recovered by one compose — no companion
-      powers needed.  Pieces evaluate serially from the exact carry, so
-      a stream's concatenated outputs are bitwise identical to
-      {!serial} over the concatenated inputs, for every scalar. *)
+  (** Streaming scan sessions: the operator-pair instance of
+      {!Plr_exec.Recovery}, the checkpoint/journal recovery engine shared
+      with {!Plr_serve.Session} (whose carry is a recurrence window).
+      Here the carry pair {e is} the fast-forward operator, so a gap is
+      one compose — no companion powers needed.  The state digest is the
+      engine's bit-exact {!Plr_exec.Recovery.digest} of the carry and
+      position.  Pieces evaluate serially from the exact carry, so a
+      stream's concatenated outputs are bitwise identical to {!serial}
+      over the concatenated inputs, for every scalar. *)
   module Stream : sig
     type t
 
-    type fault =
+    type fault = Plr_exec.Recovery.fault =
       | Crash  (** the live state words are lost (poisoned) *)
       | Corrupt_state  (** one state word is silently flipped *)
       | Engine_fault of int
-          (** the next piece solves under this seed's injected fault
-              plan; the output is verified whole against the serial
-              reference before any state commits *)
+          (** the next piece also solves under this seed's injected fault
+              plan; that output is verified whole against the serial
+              chain's and never served *)
 
     type stats = {
       position : int;
@@ -162,6 +165,10 @@ module Make (S : Plr_util.Scalar.S) : sig
     }
 
     val fault_to_string : fault -> string
+
+    val state_digest : pos:int -> y:S.t -> int
+    (** The digest a stream keeps of its live state (position and carry):
+        {!Plr_exec.Recovery.digest}, over the carry's full bits. *)
 
     val create :
       ?pool:Pool.t ->

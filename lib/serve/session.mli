@@ -1,33 +1,29 @@
 (** Resilient streaming sessions: sticky recurrence state with periodic
     checkpoints and O(k³ log g) fast-forward recovery.
 
-    A session is the serving layer's stateful filter (the DSP idiom of
-    {!Plr_multicore.Stream}): chunks arrive over time, the recurrence
-    state (output carries + FIR input tail) flows across calls, and the
-    concatenated outputs are exactly one offline pass.  On top of the
-    stream mechanics a session adds the fault-recovery protocol of this
-    repo's robustness layer:
+    A session is the one recurrence filter plus the one recovery engine:
 
-    - every state word is covered by a {b digest}; a snapshot
-      ({!Plr_robust.Companion.Make.Checkpoint}) is taken every
-      [checkpoint_every] elements, and the segments processed since live
-      in a bounded {b journal};
-    - a detected fault — state corruption caught by the digest, a crash,
-      or an engine fault caught by chunk verification — triggers
-      {b recovery}: restore the last checkpoint and replay only the
-      journal, with input-free gaps skipped by companion-matrix powers
-      instead of replayed.  Replay runs the exact original code path, so
-      the rebuilt state is bit-identical to the unfaulted run's;
-    - gaps ({!Make.skip}) fast-forward in O(k³ log g) after a
-      [taps - 1]-element warm-up, never materializing the zeros.
+    - every data segment runs through {!Plr_multicore.Stream}, so the
+      concatenated outputs are exactly that filter's, and one offline
+      pass's;
+    - {!Plr_exec.Recovery} (shared with {!Plr_scan.Scan.Make.Stream})
+      checks a bit-exact {b digest} of the filter's state on every call,
+      snapshots it ({!Plr_robust.Companion.Make.Checkpoint}) every
+      [checkpoint_every] elements, and journals the segments since.  A
+      detected fault — corruption, a crash, or an engine fault caught by
+      whole-chunk verification — restores the snapshot and replays only
+      the journal through the same filter: bit-identical state;
+    - gaps ({!Make.skip}) run a [taps - 1]-element warm-up through the
+      filter, then one companion-matrix skip-ahead in O(k³ log g),
+      never materializing the zeros.
 
-    Fault injection ({!Make.inject} / the [?fault] arguments) drives the
-    same paths deterministically for the chaos harness; the emitted trace
-    spans ([session.checkpoint], [session.recover], [session.ff]) let
-    tests prove recovery used checkpoint + fast-forward, not full
-    replay. *)
+    Fault injection ({!Make.inject} / the [?fault] arguments)
+    drives the same paths deterministically for the chaos harness; the
+    emitted trace spans ([session.checkpoint], [session.recover],
+    [session.ff]) let tests prove recovery used checkpoint +
+    fast-forward, not full replay. *)
 
-type fault =
+type fault = Plr_exec.Recovery.fault =
   | Crash  (** lose the in-memory state before the next call's work *)
   | Corrupt_state  (** silently flip one live state word *)
   | Engine_fault of int
@@ -60,16 +56,18 @@ module Make (S : Plr_util.Scalar.S) : sig
     S.t Signature.t -> t
   (** A fresh session in the zero state.  [checkpoint_every] (default
       1024) is the snapshot cadence in elements; [tol] (default 1e-3)
-      bounds the faulted-chunk verification for floating scalars (integer
-      scalars compare exactly).  [metrics] feeds the serving layer's
+      bounds the verification of a faulted chunk against the clean
+      filter's output for floating scalars (integer scalars compare
+      exactly).  [metrics] feeds the serving layer's
       session counters. *)
 
   val process : ?fault:fault -> t -> S.t array -> S.t array
   (** Filter the next chunk and advance the state.  [fault] injects the
       given fault into this call (identical to {!inject} just before).
       The output — faulted call or not — is exactly the unfaulted
-      stream's output for this range: faults are detected and recovered,
-      never served. *)
+      stream's output for this range — bitwise that of
+      {!Plr_multicore.Stream.Make.process} over the same pieces: faults
+      are detected and recovered, never served. *)
 
   val skip : ?fault:fault -> t -> int -> unit
   (** [skip t g] consumes a gap of [g] zero inputs without materializing

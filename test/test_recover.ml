@@ -219,6 +219,33 @@ let test_session_engine_fault_detected () =
   let st = Ses_i.stats sess in
   Alcotest.(check bool) "fault detected" true (st.Ses_i.detected >= 1)
 
+(* A session's pieces share the filter's geometrically grown factor plan:
+   64 equal pieces compile it once, not once per piece. *)
+let test_session_plan_compiled_once () =
+  let s = int_sig [| 1 |] [| 2; -1 |] in
+  let piece = 4096 and pieces = 64 in
+  let x = random_input 11 (piece * pieces) in
+  let want = Si.full s x in
+  let sess = Ses_i.create ~domains:2 s in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let y =
+    Array.concat
+      (List.init pieces (fun i ->
+           Ses_i.process sess (Array.sub x (i * piece) piece)))
+  in
+  Trace.set_enabled false;
+  Alcotest.(check (array int)) "bitwise identical to serial" want y;
+  Alcotest.(check int) "no trace events dropped" 0 (Trace.dropped ());
+  let compiles =
+    List.length
+      (List.filter
+         (fun e -> e.Trace.kind = Trace.Begin && e.Trace.name = "factor.compile")
+         (Trace.collect ()))
+  in
+  if compiles > 2 then
+    Alcotest.failf "%d factor.compile spans for %d pieces" compiles pieces
+
 (* ----------------------------------------------------- retry + breaker *)
 
 (* A guaranteed-harmful plan: one carry corruption on a non-final chunk
@@ -402,7 +429,9 @@ let () =
           Alcotest.test_case "recovery is checkpoint + fast-forward" `Quick
             test_session_recovery_is_incremental;
           Alcotest.test_case "engine fault detected and recovered" `Quick
-            test_session_engine_fault_detected ] );
+            test_session_engine_fault_detected;
+          Alcotest.test_case "factor plan compiled once, not per piece" `Quick
+            test_session_plan_compiled_once ] );
       ( "serve",
         [ Alcotest.test_case "breaker trip/open/half-open/closed" `Quick
             test_breaker_walk;

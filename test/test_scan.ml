@@ -392,6 +392,21 @@ let test_stream_bitwise () =
     [ (0, 333); (333, 1); (334, 666) ];
   bitwise_floats "float stream = serial" (Sc_f.serial fa fb) fout
 
+(* The stream's digest covers the carry's bits: a low-mantissa flip of a
+   float carry must not hash like the original, or a corrupted carry
+   would pass the digest check.  (A digest of the rendered value fails
+   this: [string_of_float] keeps only 12 significant digits.) *)
+let test_stream_digest_float_bits () =
+  let module Sc_d = Scan.Make (Scalar.F64) in
+  List.iter
+    (fun y ->
+      check_bool
+        (Printf.sprintf "digest separates %h from its successor" y)
+        true
+        (Sc_d.Stream.state_digest ~pos:7 ~y
+        <> Sc_d.Stream.state_digest ~pos:7 ~y:(Float.succ y)))
+    [ 0.1; 1.0; -3.75; 123456.789 ]
+
 let test_stream_skip_and_fast_forward () =
   (* skip n = n identity steps; fast_forward (a_prod, b_fold) = the
      composed operator of the skipped segment. *)
@@ -579,6 +594,8 @@ let () =
           Alcotest.test_case "skip and fast-forward" `Quick
             test_stream_skip_and_fast_forward;
           Alcotest.test_case "checkpoint recovery" `Quick test_stream_recovery;
+          Alcotest.test_case "digest sees float low bits" `Quick
+            test_stream_digest_float_bits;
         ] );
       ( "serve",
         [ Alcotest.test_case "submit_scan" `Quick test_serve_submit_scan ] );

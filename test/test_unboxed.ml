@@ -67,6 +67,7 @@ module Sweep (S : Scalar.S) = struct
   module Serial = Plr_serial.Serial.Make (S)
   module Multi = Plr_multicore.Multicore.Make (S)
   module Stream = Plr_multicore.Stream.Make (S)
+  module Session = Plr_serve.Session.Make (S)
 
   let coeff g =
     match S.kind with
@@ -142,17 +143,29 @@ module Sweep (S : Scalar.S) = struct
               Buf.to_array dst ) ]
     | _ -> []
 
-  let stream_runner ~pool ~opts ~g s x =
-    let st = Stream.create ~pool ~opts s in
-    let n = Array.length x in
-    let out = ref [] in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min (n - !pos) (Splitmix.int_in g ~lo:1 ~hi:(max 1 (n / 3))) in
-      out := Stream.process st (Array.sub x !pos len) :: !out;
-      pos := !pos + len
-    done;
-    Array.concat (List.rev !out)
+  (* Random piece lengths covering [n] elements. *)
+  let random_pieces g n =
+    let rec go pos acc =
+      if pos >= n then List.rev acc
+      else
+        let hi = max 1 (n / 3) in
+        let len = min (n - pos) (Splitmix.int_in g ~lo:1 ~hi) in
+        go (pos + len) (len :: acc)
+    in
+    go 0 []
+
+  (* Feed [x] piece by piece through a stateful filter. *)
+  let feed process pieces x =
+    List.fold_left_map
+      (fun pos len -> (pos + len, process (Array.sub x pos len)))
+      0 pieces
+    |> snd |> Array.concat
+
+  let stream_runner ~pool ~opts pieces s x =
+    feed (Stream.process (Stream.create ~pool ~opts s)) pieces x
+
+  let session_runner ~pool ~opts pieces s x =
+    feed (Session.process (Session.create ~pool ~opts s)) pieces x
 
   let sweep () =
     let g = Splitmix.create 0xb17e5 in
@@ -167,6 +180,7 @@ module Sweep (S : Scalar.S) = struct
             let expected = Serial.full s x in
             let window = if n land 1 = 0 then 1 else 3 in
             let chunk_size = 64 in
+            let pieces = random_pieces g n in
             let describe name =
               Printf.sprintf "%s %s n=%d k=%d win=%d %s" S.ctype name n
                 (Signature.order s) window
@@ -182,7 +196,16 @@ module Sweep (S : Scalar.S) = struct
                   fun s x -> Multi.run ~opts ~pool:pool1 ~chunk_size ~window s x );
                 ( "multicore defaults",
                   fun s x -> Multi.run ~opts ~pool s x );
-                ("stream", fun s x -> stream_runner ~pool ~opts ~g s x) ];
+                ("stream", stream_runner ~pool ~opts pieces) ];
+            (* a session runs every piece through the same filter: bitwise
+               the stream, for every scalar *)
+            let session = session_runner ~pool ~opts pieces s x in
+            check_bitwise ~what:(describe "session vs stream")
+              (stream_runner ~pool ~opts pieces s x)
+              session;
+            if S.kind = Scalar.Integer then
+              check_bitwise ~what:(describe "session vs serial") expected
+                session;
             (* one (chunk, window) schedule is deterministic: pool sizes
                may not change a single bit *)
             check_bitwise
