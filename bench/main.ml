@@ -60,9 +60,11 @@ let run_micro () =
 (* The smoke perf suite, exported as BENCH_PLR.json so CI can archive one
    comparable artifact per run. *)
 let run_json path =
+  (* Collected first: it applies the allocator policy the rows run under. *)
+  let meta = Plr_bench.Meta.to_json (Plr_bench.Meta.collect ()) in
   let rows = Plr_bench.Perf.smoke () in
   Plr_bench.Perf.render fmt rows;
-  Plr_bench.Perf.write_json ~path rows;
+  Plr_bench.Perf.write_json ~meta ~path rows;
   Printf.printf "wrote %s\n" path
 
 (* Disabled-tracing overhead budget: the Plr_trace instrumentation must

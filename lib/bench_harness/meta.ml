@@ -3,6 +3,7 @@ type t = {
   hostname : string;
   ocaml_version : string;
   recommended_domains : int;
+  large_block_reuse : bool;
   timestamp : string;
 }
 
@@ -26,6 +27,7 @@ let collect () =
     hostname = (try Unix.gethostname () with _ -> "unknown");
     ocaml_version = Sys.ocaml_version;
     recommended_domains = Domain.recommended_domain_count ();
+    large_block_reuse = Plr_exec.Heap.reuse_large_blocks ();
     timestamp =
       Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
         (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
@@ -35,5 +37,7 @@ let collect () =
 let to_json m =
   Printf.sprintf
     "{ \"git\": %S, \"hostname\": %S, \"ocaml_version\": %S, \
-     \"recommended_domains\": %d, \"timestamp\": %S }"
-    m.git m.hostname m.ocaml_version m.recommended_domains m.timestamp
+     \"recommended_domains\": %d, \"large_block_reuse\": %b, \
+     \"timestamp\": %S }"
+    m.git m.hostname m.ocaml_version m.recommended_domains m.large_block_reuse
+    m.timestamp

@@ -10,6 +10,10 @@ type t = {
   hostname : string;
   ocaml_version : string;
   recommended_domains : int;
+  large_block_reuse : bool;
+      (** whether {!Plr_exec.Heap.reuse_large_blocks} is in force.
+          Collecting applies the policy, as [Serve.create] does, so
+          collect before measuring. *)
   timestamp : string;  (** UTC, ISO-8601 *)
 }
 

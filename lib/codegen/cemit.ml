@@ -19,11 +19,19 @@
      mirrors [Multicore.run_sequential_k], so results are bitwise
      identical to the sequential-fallback backend at the same chunk size.
 
-   Float arithmetic is emitted against IEEE binary64 with one explicit
-   [(double)(float)] rounding step per operation for the F32 emulation;
-   native ints are 63-bit, so integer kernels accumulate modulo 2^64 (in
-   uint64_t, where wrap-around is defined) and renormalize to 63 bits at
-   each store — congruent mod 2^63, hence bit-equal to OCaml. *)
+   Both entries carry the k feedback values in registers, rotated once
+   per element, so the loop-carried chain never goes through memory.
+   Binary64 kernels compute in [double].  F32 kernels compute in C
+   [float]: one binary64 [+] or [*] of binary32 operands, rounded once to
+   binary32, equals the binary32 operation, because binary64's 53 bits
+   are at least 2*24 + 2 (Figueroa 1995), so the native operation is
+   bitwise identical to [Scalar.F32]'s round-after-every-op arithmetic.
+   Every literal of an F32 unit must therefore be a binary32 value, and
+   the unit refuses to compile where [FLT_EVAL_METHOD] is not 0 (excess
+   precision would break the identity).  Native ints are 63-bit, so
+   integer kernels accumulate modulo 2^64 (in uint64_t, where wrap-around
+   is defined) and renormalize to 63 bits at each store — congruent mod
+   2^63, hence bit-equal to OCaml. *)
 
 module Make (S : Plr_util.Scalar.S) = struct
   module P = Plr_core.Plan.Make (S)
@@ -50,36 +58,62 @@ module Make (S : Plr_util.Scalar.S) = struct
     if Float.is_finite f then Printf.sprintf "%h" f
     else Printf.sprintf "plr_from_bits(UINT64_C(0x%Lx))" (Int64.bits_of_float f)
 
+  (* An F32 unit computes in binary32, so each of its literals must be a
+     binary32 value; anything else would silently change the arithmetic. *)
+  let exact32 f =
+    let r = Int32.float_of_bits (Int32.bits_of_float f) in
+    if Int64.bits_of_float r <> Int64.bits_of_float f then
+      invalid_arg
+        (Printf.sprintf "Cemit: literal %h is not exactly representable in binary32" f);
+    f
+
+  let flit32 f =
+    let f = exact32 f in
+    if Float.is_finite f then Printf.sprintf "%hf" f
+    else
+      Printf.sprintf "plr_from_bits32(UINT32_C(0x%lx))" (Int32.bits_of_float f)
+
   let lit (v : S.t) =
     match S.rep with
     | Plr_util.Scalar.Int_rep -> Printf.sprintf "INT64_C(%d)" v
-    | Plr_util.Scalar.Float_rep _ -> flit v
+    | Plr_util.Scalar.Float_rep Plr_util.Scalar.Round_f32 -> flit32 v
+    | Plr_util.Scalar.Float_rep Plr_util.Scalar.Exact -> flit v
     | Plr_util.Scalar.Other_rep -> invalid_arg "Cemit.lit: unsupported scalar"
 
-  let ctype = if is_int then "int64_t" else "double"
+  (* An F32 literal spelled as a double, for a product taken in binary64. *)
+  let lit64 (v : S.t) =
+    match S.rep with
+    | Plr_util.Scalar.Float_rep Plr_util.Scalar.Round_f32 -> flit (exact32 v)
+    | _ -> lit v
 
-  (* Per-operation rounding wrapper: the F32 emulation rounds every add
-     and multiply to binary32; binary64 and int leave the expression
-     alone. *)
-  let rnd e = if is_f32 then "plr_rnd(" ^ e ^ ")" else "(" ^ e ^ ")"
+  (* [ctype] is the storage type of x and y (OCaml's flat arrays hold
+     binary32 values as doubles); [wtype] is what the kernel computes in
+     and what the feedback registers hold. *)
+  let ctype = if is_int then "int64_t" else "double"
+  let wtype = if is_int then "int64_t" else if is_f32 then "float" else "double"
+
+  (* A stored y value as a working value: exact, since an F32 unit only
+     ever stores binary32 results. *)
+  let load_w e = if is_f32 then "(float)" ^ e else e
 
   let scalar_comment =
     if is_int then "native 63-bit int (accumulated mod 2^64, renormalized at stores)"
-    else if is_f32 then "emulated binary32 (binary64 ops, rounded to float per operation)"
+    else if is_f32 then "binary32 (native C float arithmetic)"
     else "binary64"
 
-  (* One fused FIR + feedback term sequence for output index [iexpr],
-     accumulating into [a]; [guard j] emits the prologue bound checks
-     (empty in the steady state).  Mirrors [Serial.full]'s operation
-     order exactly.  [srcx]/[srcy] build the load expressions, so the
-     tagged-representation kernel can reuse the same term sequence. *)
+  (* One fused FIR + feedback term sequence for output index [i],
+     accumulating into [a]; [guard_tap t] / [guard_fb j] emit the prologue
+     bound checks (empty in the steady state).  Mirrors [Serial.full]'s
+     operation order exactly.  Taps load through [srcx] (so the
+     tagged-representation kernel can reuse the sequence); feedback terms
+     read the registers, [f1] holding y[i-1] up to [fk] holding y[i-k]. *)
   let plain_srcx t = Printf.sprintf "x[i - %d]" t
-  let plain_srcy j = Printf.sprintf "y[i - %d]" j
+  let reg j = Printf.sprintf "f%d" j
 
-  let emit_terms b ~s ~guard_tap ~guard_fb ~srcx ~srcy =
+  let emit_terms b ~s ~guard_tap ~guard_fb ~srcx =
     let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     let forward = s.Signature.forward and feedback = s.Signature.feedback in
-    let term coeff src =
+    let term ~tap coeff src =
       if is_int then begin
         (* skipping zero terms and eliding unit multiplies is exact in
            modular arithmetic *)
@@ -92,33 +126,67 @@ module Make (S : Plr_util.Scalar.S) = struct
         else None
       end
       else if S.is_one coeff then
-        (* 1.0 * x is exact in IEEE arithmetic, so the multiply may go *)
-        Some (Printf.sprintf "a = %s;" (rnd ("a + " ^ src)))
+        (* 1.0 * v is exact in IEEE arithmetic, so the multiply may go;
+           a tap still rounds its input to binary32, as the reference's
+           product does *)
+        Some (Printf.sprintf "a = a + %s;" (if tap then load_w src else src))
+      else if tap && is_f32 then
+        (* the product in binary64, rounded once: the reference's [S.mul]
+           even for an input that is not itself a binary32 value *)
+        Some
+          (Printf.sprintf "a = a + (float)(%s * %s);" (lit64 coeff) src)
       else
         (* zero coefficients stay: 0.0 * inf and 0.0 * nan are not
            identities, and the reference computes them *)
-        Some
-          (Printf.sprintf "a = %s;"
-             (rnd
-                (Printf.sprintf "a + %s"
-                   (rnd (Printf.sprintf "%s * %s" (lit coeff) src)))))
+        Some (Printf.sprintf "a = a + %s * %s;" (lit coeff) src)
     in
     Array.iteri
       (fun t c ->
-        match term c (srcx t) with
+        match term ~tap:true c (srcx t) with
         | None -> ()
         | Some body -> pf "      %s%s\n" (guard_tap t) body)
       forward;
     Array.iteri
       (fun j0 c ->
         let j = j0 + 1 in
-        match term c (srcy j) with
+        match term ~tap:false c (reg j) with
         | None -> ()
         | Some body -> pf "      %s%s\n" (guard_fb j) body)
       feedback
 
-  let acc_decl = if is_int then "uint64_t a = 0;" else "double a = 0.0;"
-  let store = if is_int then "plr_norm(a)" else "a"
+  let acc_decl =
+    if is_int then "uint64_t a = 0;"
+    else if is_f32 then "float a = 0.0f;"
+    else "double a = 0.0;"
+
+  (* The registers carry the accumulator itself.  For ints that is the
+     raw mod-2^64 value: congruent mod 2^63 to the stored one, so the
+     products built from it are too, and the renormalization stays off
+     the loop-carried chain. *)
+  let reg_type = if is_int then "uint64_t" else wtype
+
+  (* How an element is stored from its register value [v]. *)
+  let store = if is_int then "plr_norm(v)" else "v"
+
+  (* Declare the k feedback registers, zeroed. *)
+  let emit_regs b ~indent k =
+    if k > 0 then
+      Printf.bprintf b "%s%s %s;\n" indent reg_type
+        (String.concat ", " (List.init k (fun j0 -> reg (j0 + 1) ^ " = 0")))
+
+  (* End of an element: store it (through [st], given the value [v]) and
+     rotate it into [f1]. *)
+  let emit_commit b ~k ~st =
+    let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    pf "      const %s v = a;\n" reg_type;
+    pf "      y[i] = %s;\n" st;
+    if k > 0 then begin
+      pf "     ";
+      for j = k downto 2 do
+        pf " %s = %s;" (reg j) (reg (j - 1))
+      done;
+      pf " f1 = v;\n"
+    end
 
   (* The add used by the correction sweeps: y[i] <- y[i] + rhs with the
      scalar's own rounding/normalization, mirroring
@@ -126,7 +194,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   let sweep_add ~dst rhs =
     if is_int then
       Printf.sprintf "%s = plr_norm((uint64_t)%s + %s);" dst dst rhs
-    else Printf.sprintf "%s = %s;" dst (rnd (Printf.sprintf "%s + %s" dst rhs))
+    else Printf.sprintf "%s = %s + %s;" dst (load_w dst) rhs
 
   let table_initializer stored =
     let b = Buffer.create 256 in
@@ -162,8 +230,24 @@ module Make (S : Plr_util.Scalar.S) = struct
     let name = Printf.sprintf "plr_sweep_%d" j in
     let header () =
       pf "static void %s(%s* restrict y, int64_t base, int64_t len, %s carry) {\n"
-        name ctype ctype
+        name ctype wtype
     in
+    let table len stored =
+      pf "static const %s plr_tab_%d[%d] = { %s };\n" wtype j len
+        (table_initializer stored)
+    in
+    (* [p] = factor * carry, then the add — one loop line each *)
+    let product ?(p = "p") factor =
+      if is_int then
+        Printf.sprintf "uint64_t %s = (uint64_t)%s * (uint64_t)carry;" p factor
+      else Printf.sprintf "%s %s = %s * carry;" wtype p factor
+    in
+    let loop ?(bound = "len") body =
+      pf "  for (int64_t q = 0; q < %s; q++) {\n" bound;
+      List.iter (pf "    %s\n") body;
+      pf "  }\n"
+    in
+    let add rhs = sweep_add ~dst:"y[base + q]" rhs in
     (match fplan.F.compiled.(j) with
     | F.All_equal f when S.is_zero f ->
         pf "/* factor list %d: all factors are 0 — the sweep is a no-op */\n" j;
@@ -172,78 +256,45 @@ module Make (S : Plr_util.Scalar.S) = struct
     | F.All_equal f when S.is_one f ->
         pf "/* factor list %d: all factors are 1 — carry adds straight in */\n" j;
         header ();
-        pf "  for (int64_t q = 0; q < len; q++) {\n";
-        pf "    %s\n" (sweep_add ~dst:"y[base + q]" "carry");
-        pf "  }\n"
+        loop [ add "carry" ]
     | F.All_equal f ->
         pf "/* factor list %d: all factors equal %s (folded to a constant) */\n"
           j (lit f);
         header ();
-        if is_int then
-          pf "  uint64_t fc = (uint64_t)%s * (uint64_t)carry;\n" (lit f)
-        else
-          (* loop-invariant product, hoisted exactly like apply_list_f *)
-          pf "  %s fc = %s;\n" ctype
-            (rnd (Printf.sprintf "%s * carry" (lit f)));
-        pf "  for (int64_t q = 0; q < len; q++) {\n";
-        pf "    %s\n" (sweep_add ~dst:"y[base + q]" "fc");
-        pf "  }\n"
+        (* loop-invariant product, hoisted exactly like apply_list_f *)
+        pf "  %s\n" (product ~p:"fc" (lit f));
+        loop [ add "fc" ]
     | F.Zero_one { ones; _ } ->
         pf "/* factor list %d: 0/1 factors — bitmask-predicated conditional add */\n" j;
         pf "static const uint8_t plr_ones_%d[] = { %s };\n" j
           (mask_initializer ones fplan.F.m);
         header ();
-        pf "  for (int64_t q = 0; q < len; q++) {\n";
-        pf "    if ((plr_ones_%d[q >> 3] >> (q & 7)) & 1) {\n" j;
-        pf "      %s\n" (sweep_add ~dst:"y[base + q]" "carry");
-        pf "    }\n  }\n"
+        loop
+          [
+            Printf.sprintf "if ((plr_ones_%d[q >> 3] >> (q & 7)) & 1) %s" j
+              (add "carry");
+          ]
     | F.Repeating { period; stored } ->
         pf "/* factor list %d: repeating with period %d — one stored period */\n"
           j period;
-        pf "static const %s plr_tab_%d[%d] = { %s };\n" ctype j period
-          (table_initializer stored);
+        table period stored;
         header ();
-        pf "  for (int64_t q = 0; q < len; q++) {\n";
-        if is_int then
-          pf "    uint64_t p = (uint64_t)plr_tab_%d[q %% %d] * (uint64_t)carry;\n"
-            j period
-        else
-          pf "    %s p = %s;\n" ctype
-            (rnd (Printf.sprintf "plr_tab_%d[q %% %d] * carry" j period));
-        pf "    %s\n" (sweep_add ~dst:"y[base + q]" "p");
-        pf "  }\n"
+        loop
+          [ product (Printf.sprintf "plr_tab_%d[q %% %d]" j period); add "p" ]
     | F.Decayed { cutoff; stored } ->
         pf "/* factor list %d: decays to exact zero at index %d — tail skipped */\n"
           j cutoff;
-        if cutoff > 0 then
-          pf "static const %s plr_tab_%d[%d] = { %s };\n" ctype j cutoff
-            (table_initializer stored);
+        if cutoff > 0 then table cutoff stored;
         header ();
         pf "  int64_t hi = len < %d ? len : %d;\n" cutoff cutoff;
         if cutoff = 0 then pf "  (void)y; (void)base; (void)carry; (void)hi;\n"
-        else begin
-          pf "  for (int64_t q = 0; q < hi; q++) {\n";
-          if is_int then
-            pf "    uint64_t p = (uint64_t)plr_tab_%d[q] * (uint64_t)carry;\n" j
-          else
-            pf "    %s p = %s;\n" ctype
-              (rnd (Printf.sprintf "plr_tab_%d[q] * carry" j));
-          pf "    %s\n" (sweep_add ~dst:"y[base + q]" "p");
-          pf "  }\n"
-        end
+        else
+          loop ~bound:"hi" [ product (Printf.sprintf "plr_tab_%d[q]" j); add "p" ]
     | F.Dense l ->
         pf "/* factor list %d: general — full static table */\n" j;
-        pf "static const %s plr_tab_%d[%d] = { %s };\n" ctype j (Array.length l)
-          (table_initializer l);
+        table (Array.length l) l;
         header ();
-        pf "  for (int64_t q = 0; q < len; q++) {\n";
-        if is_int then
-          pf "    uint64_t p = (uint64_t)plr_tab_%d[q] * (uint64_t)carry;\n" j
-        else
-          pf "    %s p = %s;\n" ctype
-            (rnd (Printf.sprintf "plr_tab_%d[q] * carry" j));
-        pf "    %s\n" (sweep_add ~dst:"y[base + q]" "p");
-        pf "  }\n");
+        loop [ product (Printf.sprintf "plr_tab_%d[q]" j); add "p" ]);
     pf "}\n\n"
 
   let emit ~(fplan : F.t) (s : S.t Signature.t) =
@@ -265,61 +316,71 @@ module Make (S : Plr_util.Scalar.S) = struct
     done;
     pf " * Compile with contraction and fast-math OFF: the contract is\n";
     pf " * bitwise identity with the OCaml serial reference. */\n\n";
-    pf "#include <stdint.h>\n\n";
-    if is_f32 then
-      pf "static inline double plr_rnd(double v) { return (double)(float)v; }\n";
+    pf "#include <stdint.h>\n";
+    if not is_int then begin
+      pf "#include <float.h>\n\n";
+      pf "/* Excess precision (x87) would round differently from the reference. */\n";
+      pf "#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0\n";
+      pf "#error \"PLR JIT float kernels need FLT_EVAL_METHOD == 0\"\n";
+      pf "#endif\n"
+    end;
+    pf "\n";
     if is_int then begin
       pf "/* OCaml's native int is 63-bit two's complement; reducing a mod-2^64\n";
       pf "   accumulator at store time is congruent mod 2^63, so results match\n";
       pf "   the OCaml kernels bit for bit. */\n";
       pf "static inline int64_t plr_norm(uint64_t v) {\n";
       pf "  return (int64_t)(v << 1) >> 1;\n}\n"
-    end;
-    if not is_int then
+    end
+    else if is_f32 then
+      pf "static inline float plr_from_bits32(uint32_t u) {\n\
+         \  union { uint32_t u; float f; } v; v.u = u; return v.f;\n}\n"
+    else
       pf "static inline double plr_from_bits(uint64_t u) {\n\
          \  union { uint64_t u; double d; } v; v.u = u; return v.d;\n}\n";
     pf "\n";
     (* ---- the dispatched serial-order kernel ---- *)
     let prologue = max (taps - 1) k in
-    let serial_body ~srcx ~srcy ~st =
+    let serial_body ~srcx ~st =
+      emit_regs b ~indent:"  " k;
       pf "  int64_t i = 0;\n";
       pf "  int64_t pro = n < %d ? n : %d;\n" prologue prologue;
       pf "  for (; i < pro; i++) {\n";
       pf "      %s\n" acc_decl;
-      emit_terms b ~s ~srcx ~srcy
+      emit_terms b ~s ~srcx
         ~guard_tap:(fun t ->
           if t = 0 then "" else Printf.sprintf "if (i >= %d) " t)
         ~guard_fb:(fun j -> Printf.sprintf "if (i >= %d) " j);
-      pf "      y[i] = %s;\n" st;
+      emit_commit b ~k ~st;
       pf "  }\n";
       pf "  for (; i < n; i++) {\n";
       pf "      %s\n" acc_decl;
-      emit_terms b ~s ~srcx ~srcy ~guard_tap:(fun _ -> "")
-        ~guard_fb:(fun _ -> "");
-      pf "      y[i] = %s;\n" st;
+      emit_terms b ~s ~srcx ~guard_tap:(fun _ -> "") ~guard_fb:(fun _ -> "");
+      emit_commit b ~k ~st;
       pf "  }\n}\n\n"
     in
     pf "/* Serial-order fused kernel: identical operation sequence to the\n";
     pf "   OCaml serial reference, coefficients baked in, monomorphic over\n";
-    pf "   restrict pointers.  The first %d elements carry bounds guards;\n" prologue;
-    pf "   the steady-state loop is guard-free. */\n";
+    pf "   restrict pointers, the last %d outputs carried in registers.\n" k;
+    pf "   The first %d elements carry bounds guards; the steady-state\n" prologue;
+    pf "   loop is guard-free. */\n";
     pf "void plr_jit_run(const %s* restrict x, %s* restrict y, int64_t n) {\n"
       ctype ctype;
-    serial_body ~srcx:plain_srcx ~srcy:plain_srcy ~st:store;
+    serial_body ~srcx:plain_srcx ~st:store;
     if is_int then begin
       (* The copy-free entry: OCaml int arrays are flat words holding
          2v+1.  Untagging on load is an arithmetic shift; retagging the
          mod-2^64 accumulator is (a << 1) | 1, which is congruent to
          tagging the renormalized 63-bit value, so the stored words are
-         exactly the tagged form of the bitwise-exact results. *)
+         exactly the tagged form of the bitwise-exact results.  The
+         registers hold the untagged accumulators. *)
       pf "/* Same kernel over OCaml's tagged int representation (word = 2v+1):\n";
       pf "   runs directly on an OCaml int array with no copy or boxing. */\n";
       pf "void plr_jit_run_tagged(const %s* restrict x, %s* restrict y, int64_t n) {\n"
         ctype ctype;
       serial_body
         ~srcx:(fun t -> Printf.sprintf "(x[i - %d] >> 1)" t)
-        ~srcy:(fun j -> Printf.sprintf "(y[i - %d] >> 1)" j)
-        ~st:"(int64_t)((a << 1) | UINT64_C(1))"
+        ~st:"(int64_t)((v << 1) | UINT64_C(1))"
     end;
     (* ---- specialized correction sweeps + the chunked algorithm ---- *)
     for j = 0 to k - 1 do
@@ -336,17 +397,18 @@ module Make (S : Plr_util.Scalar.S) = struct
     pf "  if (m > %d) m = %d; /* factor tables cover one chunk of at most m */\n"
       (max 1 fplan.F.m) (max 1 fplan.F.m);
     pf "  int64_t chunks = (n + m - 1) / m;\n";
-    pf "  %s g_prev[%d];\n" ctype (max 1 k);
+    pf "  %s g_prev[%d];\n" wtype (max 1 k);
     pf "  int have_prev = 0;\n";
     pf "  for (int64_t c = 0; c < chunks; c++) {\n";
     pf "    const int64_t base = c * m;\n";
     pf "    const int64_t len = (n - base) < m ? (n - base) : m;\n";
+    emit_regs b ~indent:"    " k;
     pf "    for (int64_t i = base; i < base + len; i++) {\n";
     pf "      %s\n" acc_decl;
-    emit_terms b ~s ~srcx:plain_srcx ~srcy:plain_srcy
+    emit_terms b ~s ~srcx:plain_srcx
       ~guard_tap:(fun t -> if t = 0 then "" else Printf.sprintf "if (i >= %d) " t)
       ~guard_fb:(fun j -> Printf.sprintf "if (i - base >= %d) " j);
-    pf "      y[i] = %s;\n" store;
+    emit_commit b ~k ~st:store;
     pf "    }\n";
     if k > 0 then begin
       pf "    if (have_prev) {\n";
@@ -356,8 +418,8 @@ module Make (S : Plr_util.Scalar.S) = struct
       pf "    }\n";
       pf "    if (c < chunks - 1) {\n";
       pf "      for (int64_t j = 0; j < %d; j++)\n" k;
-      pf "        g_prev[j] = (len - 1 - j >= 0) ? y[base + len - 1 - j] : %s;\n"
-        (if is_int then "0" else "0.0");
+      pf "        g_prev[j] = (len - 1 - j >= 0) ? %s : 0;\n"
+        (load_w "y[base + len - 1 - j]");
       pf "      have_prev = 1;\n";
       pf "    }\n"
     end

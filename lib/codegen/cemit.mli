@@ -17,10 +17,13 @@
       tables).  Operation order mirrors the sequential-fallback
       multicore backend at the same chunk size.
 
-    Int kernels accumulate mod 2^64 in [uint64_t] and renormalize to
-    OCaml's 63 bits at each store (congruent mod 2^63); F32 emulation
-    emits one explicit [(double)(float)] rounding per operation; float
-    constants are C99 hex literals, so every value round-trips exactly.
+    Both carry the last k outputs in registers.  Int kernels accumulate
+    mod 2^64 in [uint64_t] and renormalize to OCaml's 63 bits at each
+    store (congruent mod 2^63).  F32 kernels compute in C [float], which
+    is bitwise identical to rounding each binary64 operation to binary32
+    (53 >= 2*24 + 2); such a unit fails to compile where
+    [FLT_EVAL_METHOD] is not 0.  Float constants are C99 hex literals, so
+    every value round-trips exactly.
 
     The emitted text is deterministic for a given plan — the JIT's
     on-disk cache keys on its digest. *)
@@ -34,8 +37,9 @@ module Make (S : Plr_util.Scalar.S) : sig
 
   val emit : fplan:P.F.t -> S.t Signature.t -> string
   (** The complete translation unit.
-      @raise Invalid_argument when [supported] is false or the factor
-      plan's order disagrees with the signature. *)
+      @raise Invalid_argument when [supported] is false, the factor
+      plan's order disagrees with the signature, or (F32) a coefficient
+      or factor is not exactly a binary32 value. *)
 
   val emit_plan : P.t -> string
   (** [emit] applied to a compiled plan's own factor plan + signature. *)

@@ -26,7 +26,7 @@ let reason_poisoned = 6
 
 let reason_to_string = function
   | 1 -> "disabled"
-  | 2 -> "unsupported scalar"
+  | 2 -> "unsupported scalar or coefficient"
   | 3 -> "no C toolchain"
   | 4 -> "build failed"
   | 5 -> "build in flight"
@@ -72,7 +72,13 @@ module Make (S : Plr_util.Scalar.S) = struct
       fallback reason_no_toolchain;
       None
     end
-    else Some (prepare_source ~mode ~source:(C.emit ~fplan s) s)
+    else
+      match C.emit ~fplan s with
+      | exception Invalid_argument _ ->
+          (* a coefficient the scalar's C type cannot hold exactly *)
+          fallback reason_unsupported;
+          None
+      | source -> Some (prepare_source ~mode ~source s)
 
   let prepare_plan ?mode (plan : P.t) =
     prepare ?mode ~fplan:plan.P.fplan plan.P.signature
@@ -143,7 +149,8 @@ module Make (S : Plr_util.Scalar.S) = struct
           end
       | Plr_util.Scalar.Float_rep _ ->
           if chunk = None then begin
-            let y = Array.make n 0.0 in
+            (* the kernel writes every element: no zero-fill pass *)
+            let y = Array.create_float n in
             Jit.call_run_direct fns.Jit.run x y n;
             y
           end

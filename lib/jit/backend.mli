@@ -15,7 +15,9 @@ val reason_disabled : int
 (** [PLR_JIT=off]. *)
 
 val reason_unsupported : int
-(** The scalar has no native C representation. *)
+(** The scalar has no native C representation, or the signature has a
+    coefficient it cannot hold exactly (an F32 coefficient that is not a
+    binary32 value). *)
 
 val reason_no_toolchain : int
 (** No C compiler resolves on this machine. *)
@@ -45,7 +47,8 @@ module Make (S : Plr_util.Scalar.S) : sig
     ?mode:[ `Sync | `Async ] -> fplan:F.t -> S.t Signature.t -> t option
   (** Emit the C for this plan and start (or join) its build.  [None] —
       with the [jit.fallback] instant recorded — when the JIT is
-      disabled, the scalar unsupported, or no toolchain resolves.
+      disabled, the scalar or a coefficient unsupported, or no toolchain
+      resolves.
       [`Async] (serve plan builds) never blocks on cc; [`Sync] (the
       default) builds inline. *)
 

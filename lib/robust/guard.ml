@@ -58,21 +58,34 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   let floating = S.kind = Plr_util.Scalar.Floating
 
-  let scan_non_finite out =
-    if not floating then None
-    else begin
-      let bad = ref None in
-      (try
-         Array.iteri
-           (fun i v ->
-             if not (Float.is_finite (S.to_float v)) then begin
-               bad := Some i;
-               raise Exit
-             end)
-           out
-       with Exit -> ());
-      !bad
-    end
+  (* Refined on the representation so the float case is a plain loop
+     over the flat [float array] payload, with no boxing per element.
+     [v -. v] is 0 for a finite [v] and NaN otherwise, so four values sum
+     to 0 exactly when all four are finite; a scalar loop then pins the
+     index. *)
+  let first_non_finite (y : S.t array) =
+    let scan_float (y : float array) =
+      let n = Array.length y in
+      let i = ref 0 in
+      while
+        !i + 4 <= n
+        &&
+        let a = Array.unsafe_get y !i and b = Array.unsafe_get y (!i + 1) in
+        let c = Array.unsafe_get y (!i + 2) and d = Array.unsafe_get y (!i + 3) in
+        a -. a +. (b -. b) +. (c -. c +. (d -. d)) = 0.
+      do
+        i := !i + 4
+      done;
+      while !i < n && Float.is_finite (Array.unsafe_get y !i) do
+        incr i
+      done;
+      if !i = n then None else Some !i
+    in
+    match S.rep with
+    | Plr_util.Scalar.Float_rep _ -> scan_float y
+    | Plr_util.Scalar.Int_rep -> None
+    | Plr_util.Scalar.Other_rep ->
+        if floating then scan_float (Array.map S.to_float y) else None
 
   let run ?(tol = 1e-3) ?(check = Prefix 4096) ?probe ?stability runner
       (s : S.t Signature.t) x =
@@ -120,7 +133,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           !bad
     in
     let validate out =
-      match scan_non_finite out with
+      match first_non_finite out with
       | Some i -> Some (Non_finite { index = i })
       | None -> compare_reference out
     in
@@ -212,7 +225,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         | out -> (
             (* the final stage is itself a serial evaluation, so only the
                non-finite scan is meaningful *)
-            match scan_non_finite out with
+            match first_non_finite out with
             | None ->
                 record Float64_serial None;
                 finish out ~degraded:true ~ok:true

@@ -74,6 +74,11 @@ module Make (S : Plr_util.Scalar.S) : sig
       (a genuinely divergent recurrence), [ok] is false and [output] is the
       final fallback's result — with the failure recorded, never silent. *)
 
+  val first_non_finite : S.t array -> int option
+  (** Index of the first NaN or infinity in an output, the guard's
+      non-finite check.  A plain unboxed loop for float scalars; always
+      [None] for integer scalars. *)
+
   val gpusim_runner :
     ?opts:Plr_core.Opts.t -> ?faults:Faults.plan -> ?threads_per_block:int ->
     ?x:int -> ?lookback_window:int -> spec:Plr_gpusim.Spec.t -> unit -> runner

@@ -192,6 +192,9 @@ module Make (S : Plr_util.Scalar.S) = struct
     }
 
   let create ?(config = default_config) ?pool ?domains () =
+    (* Large results then come from reused heap memory instead of a
+       fresh, page-faulting mapping per request (see [Heap]). *)
+    ignore (Plr_exec.Heap.reuse_large_blocks () : bool);
     let nshards = max 1 config.shards in
     let shards_, owned_pools =
       if nshards = 1 then
@@ -522,22 +525,6 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   (* ------------------------------------------------------- execution *)
 
-  let scan_non_finite y =
-    if not floating then None
-    else begin
-      let bad = ref None in
-      (try
-         Array.iteri
-           (fun i v ->
-             if not (Float.is_finite (S.to_float v)) then begin
-               bad := Some i;
-               raise Exit
-             end)
-           y
-       with Exit -> ());
-      !bad
-    end
-
   (* Small requests solve on the calling domain: at these lengths the
      chunked protocol cannot win, and the serial evaluation *is* the
      reference the guard would check against.  Only the non-finite scan
@@ -566,7 +553,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     | y -> (
         if not t.config.guard then Ok y
         else
-          match scan_non_finite y with
+          match G.first_non_finite y with
           | None -> Ok y
           | Some i ->
               Error (Failed (Printf.sprintf "non-finite value at index %d" i)))
@@ -686,7 +673,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           match Serial.full b.sig_ slot.input with
           | exception e -> Error (Failed (Printexc.to_string e))
           | y -> (
-              match (t.config.guard, scan_non_finite y) with
+              match (t.config.guard, G.first_non_finite y) with
               | true, Some i ->
                   Error
                     (Failed (Printf.sprintf "non-finite value at index %d" i))
@@ -952,7 +939,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     entry
 
   let scan_guarded t y =
-    match (t.config.guard, scan_non_finite y) with
+    match (t.config.guard, G.first_non_finite y) with
     | true, Some i ->
         Error (Failed (Printf.sprintf "non-finite value at index %d" i))
     | _ -> Ok y

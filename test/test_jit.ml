@@ -6,6 +6,10 @@
      Table-1 filters, [plr_jit_run] vs the serial reference (bitwise, the
      JIT's contract) and [plr_jit_run_chunked] vs the OCaml sequential
      fallback at the same chunk size (bitwise — identical op order);
+   - the binary32 differential: every float Table-1 signature on IEEE edge
+     inputs (signed zeros, subnormals, underflow, overflow, inf, NaN,
+     random bit patterns), plus the F32 emitter's literal and
+     FLT_EVAL_METHOD guards;
    - degradation pins: disabled env, missing toolchain, compile failure,
      and first-use mismatch poisoning, each answering [None]/fallback with
      a [jit.fallback] trace instant, with [Guard.jit_runner] still
@@ -183,6 +187,156 @@ let test_sweep_f64 () =
   in
   Sweep_f64.sweep ~extra_sigs:table1 ()
 
+(* ------------------------------------ binary32 differential (IEEE edges) *)
+
+(* F32 kernels compute in C float, relying on one binary64 op rounded to
+   binary32 being the binary32 op.  Every float Table 1 signature runs
+   inputs built to hit the cases where that could go wrong: signed zeros,
+   subnormal inputs and results that underflow into subnormals, overflow
+   to infinity, infinite and NaN inputs, and random finite bit patterns. *)
+
+module Sr32 = Plr_serial.Serial.Make (Scalar.F32)
+module Mc32 = Plr_multicore.Multicore.Make (Scalar.F32)
+
+let f32_bits b = Int32.float_of_bits b
+
+(* A random binary32 with the given biased exponent and a random
+   significand and sign. *)
+let f32_with_exp g e =
+  let mant = Int64.to_int32 (Int64.logand (Splitmix.next g) 0x7fffffL) in
+  let sign = if Splitmix.int g ~bound:2 = 0 then 0l else Int32.min_int in
+  f32_bits (Int32.logor sign (Int32.logor (Int32.shift_left (Int32.of_int e) 23) mant))
+
+let edge_inputs n =
+  let g = Splitmix.create 0xf32f32 in
+  let small () = Plr_util.F32.round (Splitmix.float_in g ~lo:(-1.0) ~hi:1.0) in
+  let with_at specials =
+    let x = Array.init n (fun _ -> small ()) in
+    List.iter (fun (i, v) -> x.(i) <- v) specials;
+    x
+  in
+  [
+    ("signed zeros", Array.init n (fun i -> if i land 1 = 0 then 0.0 else -0.0));
+    ("subnormals", Array.init n (fun _ -> f32_with_exp g 0));
+    (* tiny normals: filter outputs underflow into the subnormal range *)
+    ("underflow", Array.init n (fun _ -> f32_with_exp g (1 + Splitmix.int g ~bound:3)));
+    ("overflow", Array.init n (fun _ -> f32_with_exp g 254));
+    ("+inf", with_at [ (n / 3, Float.infinity) ]);
+    ("-inf", with_at [ (n / 2, Float.neg_infinity) ]);
+    ("nan", with_at [ (n / 4, Float.nan) ]);
+    ( "random bits",
+      Array.init n (fun _ -> f32_with_exp g (Splitmix.int g ~bound:255)) );
+  ]
+
+(* Which IEEE edge classes a set of outputs reaches. *)
+let edge_classes ys =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (Array.iter (fun v ->
+         let c =
+           match Float.classify_float v with
+           | FP_zero when Float.sign_bit v -> "-0"
+           | FP_zero -> "+0"
+           | FP_infinite -> "inf"
+           | FP_nan -> "nan"
+           | FP_normal when Float.abs v < Plr_util.F32.smallest_normal ->
+               "subnormal"
+           | FP_normal | FP_subnormal -> "normal"
+         in
+         Hashtbl.replace seen c ()))
+    ys;
+  List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) seen [])
+
+let test_f32_differential () =
+  skip_without_cc ();
+  let m = 97 and n = 400 in
+  let inputs = edge_inputs n in
+  (* The inputs must drive the filters into every class.  No output is
+     -0: the reference's accumulator starts at +0, and +0 + -0 = +0. *)
+  let lp2 = Signature.map Plr_util.F32.round Table1.low_pass2.Table1.signature in
+  Alcotest.(check (list string))
+    "reference outputs reach every IEEE class"
+    [ "+0"; "inf"; "nan"; "normal"; "subnormal" ]
+    (edge_classes (List.map (fun (_, x) -> Sr32.full lp2 x) inputs));
+  List.iter
+    (fun (e : Table1.entry) ->
+      let s = Signature.map Plr_util.F32.round e.Table1.signature in
+      let fplan = JBf.F.of_feedback ~feedback:s.Signature.feedback ~m () in
+      let jb =
+        match JBf.prepare ~mode:`Sync ~fplan s with
+        | Some jb -> jb
+        | None -> Alcotest.failf "%s: prepare returned None" e.Table1.name
+      in
+      List.iter
+        (fun (label, x) ->
+          let what = Printf.sprintf "%s %s" e.Table1.name label in
+          (match JBf.run jb x with
+          | Some y ->
+              Sweep_f32.check_bitwise ~what:(what ^ " run vs serial")
+                (Sr32.full s x) y
+          | None -> Alcotest.failf "%s: jit unavailable" what);
+          match JBf.run_chunked jb ~m x with
+          | Some y ->
+              Sweep_f32.check_bitwise ~what:(what ^ " chunked vs seq-fallback")
+                (Mc32.run_sequential_fallback ~chunk_size:m s x)
+                y
+          | None -> Alcotest.failf "%s: chunked jit unavailable" what)
+        inputs;
+      check_bool (e.Table1.name ^ " validated") true (JBf.validated jb);
+      check_bool (e.Table1.name ^ " not poisoned") false (JBf.poisoned jb))
+    Table1.float_entries
+
+let test_f32_emitter () =
+  let s = Signature.map Plr_util.F32.round Table1.low_pass2.Table1.signature in
+  let fplan = JBf.F.of_feedback ~feedback:s.Signature.feedback ~m:64 () in
+  let src = JBf.C.emit ~fplan s in
+  check_bool "F32 unit has no rounding emulation" false
+    (contains ~needle:"plr_rnd" src);
+  check_bool "F32 unit computes in float" true
+    (contains ~needle:"float a = 0.0f;" src);
+  check_bool "F32 unit refuses excess precision" true
+    (contains ~needle:"#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0" src);
+  (* 0.1 is not a binary32 value: an F32 unit cannot spell it exactly *)
+  let inexact = Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:[| 0.1 |]
+      ~feedback:[| 0.5 |]
+  in
+  let fplan' = JBf.F.of_feedback ~feedback:inexact.Signature.feedback ~m:64 () in
+  (match JBf.C.emit ~fplan:fplan' inexact with
+  | _ -> Alcotest.fail "a non-binary32 literal must be refused"
+  | exception Invalid_argument _ -> ());
+  (* the backend turns that refusal into a fallback, not an exception *)
+  check_bool "prepare declines an inexact signature" true
+    (JBf.prepare ~fplan:fplan' inexact = None)
+
+(* A target with excess precision must fail the build (and fall back),
+   not run a kernel that diverges from the reference. *)
+let test_f32_excess_precision_fails_build () =
+  skip_without_cc ();
+  let s = Signature.map Plr_util.F32.round Table1.low_pass1.Table1.signature in
+  let fplan = JBf.F.of_feedback ~feedback:s.Signature.feedback ~m:64 () in
+  (* <float.h> is include-guarded, so the unit's own include keeps this *)
+  let source =
+    "#include <float.h>\n#undef FLT_EVAL_METHOD\n#define FLT_EVAL_METHOD 2\n"
+    ^ JBf.C.emit ~fplan s
+  in
+  let jb = JBf.prepare_source ~mode:`Sync ~source s in
+  (match JBf.state jb with
+  | Plr_jit.Jit.Failed e ->
+      check_bool "failed on the guard" true (contains ~needle:"FLT_EVAL_METHOD" e)
+  | _ -> Alcotest.fail "FLT_EVAL_METHOD 2 must fail the build");
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled false)
+    (fun () ->
+      check_bool "run falls back" true (JBf.run jb [| 1.0; 2.0 |] = None);
+      check_bool "reason build_failed" true
+        (List.exists
+           (fun (e : Trace.event) ->
+             e.Trace.name = "jit.fallback"
+             && e.Trace.a0 = Backend.reason_build_failed)
+           (Trace.collect ())))
+
 (* --------------------------------------------------- degradation pins *)
 
 let prefix_sum = int_sig [| 1 |] [| 1 |]
@@ -309,6 +463,11 @@ let () =
           Alcotest.test_case "int sweep" `Quick test_sweep_int;
           Alcotest.test_case "f32 sweep (Table 1)" `Quick test_sweep_f32;
           Alcotest.test_case "f64 sweep (Table 1)" `Quick test_sweep_f64;
+          Alcotest.test_case "f32 differential (IEEE edges)" `Quick
+            test_f32_differential;
+          Alcotest.test_case "f32 emitter" `Quick test_f32_emitter;
+          Alcotest.test_case "f32 excess precision fails build" `Quick
+            test_f32_excess_precision_fails_build;
         ] );
       ( "degradation",
         [

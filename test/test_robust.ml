@@ -71,6 +71,27 @@ let test_stability_predictions () =
 let gen = Plr_util.Splitmix.create 2026
 let random_ints n = Array.init n (fun _ -> Plr_util.Splitmix.int_in gen ~lo:(-9) ~hi:9)
 
+(* Every length through the four-wide block loop and its scalar tail,
+   with each non-finite kind at every position. *)
+let test_first_non_finite () =
+  let check = Alcotest.(check (option int)) in
+  for n = 0 to 11 do
+    check (Printf.sprintf "finite n=%d" n) None
+      (Guard_f.first_non_finite (Array.init n float_of_int));
+    List.iter
+      (fun bad ->
+        for p = 0 to n - 1 do
+          let y = Array.init n float_of_int in
+          y.(p) <- bad;
+          if p + 2 < n then y.(p + 2) <- Float.nan;
+          check (Printf.sprintf "n=%d p=%d %h" n p bad) (Some p)
+            (Guard_f.first_non_finite y)
+        done)
+      [ Float.nan; Float.infinity; Float.neg_infinity ]
+  done;
+  check "ints are never non-finite" None
+    (Guard_i.first_non_finite [| max_int; min_int; 0 |])
+
 let test_guard_nominal () =
   let s = int_sig [| 1 |] [| 2; -1 |] in
   let input = random_ints 4000 in
@@ -438,6 +459,7 @@ let () =
         ] );
       ( "guard",
         [
+          Alcotest.test_case "first non-finite" `Quick test_first_non_finite;
           Alcotest.test_case "nominal" `Quick test_guard_nominal;
           Alcotest.test_case "detects corruption" `Quick test_guard_detects_corruption;
           Alcotest.test_case "unstable float flags" `Quick

@@ -546,6 +546,34 @@ let test_cli_flag_errors () =
 
 (* ---------------------------------------------------------------- run *)
 
+(* --------------------------------------------------- allocator policy *)
+
+(* glibc answers [getconf GNU_LIBC_VERSION]; other libcs do not. *)
+let on_glibc () =
+  try
+    let ic = Unix.open_process_in "getconf GNU_LIBC_VERSION 2>/dev/null" in
+    let line = try Some (input_line ic) with End_of_file -> None in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some l -> String.length l >= 5 && String.sub l 0 5 = "glibc"
+    | _ -> false
+  with _ -> false
+
+let test_heap_policy () =
+  let s = Srv_i.create ~domains:1 () in
+  let first = Plr_exec.Heap.reuse_large_blocks () in
+  ignore (Srv_i.submit s (int_sig [| 1 |] [| 1 |]) [| 1; 2; 3 |]);
+  ignore (Srv_i.create ~domains:1 ());
+  let after = Plr_exec.Heap.reuse_large_blocks () in
+  Alcotest.(check bool) "same answer on every call" first after;
+  Alcotest.(check bool) "same answer again" after
+    (Plr_exec.Heap.reuse_large_blocks ());
+  if on_glibc () then
+    Alcotest.(check bool) "large blocks reused on glibc" true after
+  else begin
+    print_endline "not glibc: the allocator policy does not apply here";
+    Alcotest.skip ()
+  end
+
 let () =
   Alcotest.run "serve"
     [
@@ -577,6 +605,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "histogram" `Quick test_metrics_histogram;
           Alcotest.test_case "snapshot json" `Quick test_snapshot_json ] );
+      ( "heap",
+        [ Alcotest.test_case "large-block reuse policy" `Quick test_heap_policy ] );
       ( "cli",
         [ Alcotest.test_case "flag errors exit 2" `Quick test_cli_flag_errors ] );
     ]
