@@ -145,20 +145,20 @@ let time_wall f =
    names match the flags Opts.pp prints. *)
 let opt_names = [ "shared-cache"; "all-equal"; "zero-one"; "repeat"; "ftz" ]
 
-let set_opt (o : Plr_core.Opts.t) name v =
+let set_opt (o : Plr_factors.Opts.t) name v =
   match name with
-  | "shared-cache" -> { o with Plr_core.Opts.cache_factors_in_shared = v }
-  | "all-equal" -> { o with Plr_core.Opts.specialize_all_equal = v }
-  | "zero-one" -> { o with Plr_core.Opts.specialize_zero_one = v }
-  | "repeat" -> { o with Plr_core.Opts.compress_repeating = v }
-  | "ftz" -> { o with Plr_core.Opts.flush_denormals = v }
+  | "shared-cache" -> { o with Plr_factors.Opts.cache_factors_in_shared = v }
+  | "all-equal" -> { o with Plr_factors.Opts.specialize_all_equal = v }
+  | "zero-one" -> { o with Plr_factors.Opts.specialize_zero_one = v }
+  | "repeat" -> { o with Plr_factors.Opts.compress_repeating = v }
+  | "ftz" -> { o with Plr_factors.Opts.flush_denormals = v }
   | _ ->
       failwith
         (Printf.sprintf "unknown optimization %S (expected one of: %s)" name
            (String.concat ", " opt_names))
 
 let opts_of_flags ~opts_off ~ons ~offs =
-  let base = if opts_off then Plr_core.Opts.all_off else Plr_core.Opts.all_on in
+  let base = if opts_off then Plr_factors.Opts.all_off else Plr_factors.Opts.all_on in
   let o = List.fold_left (fun o name -> set_opt o name true) base ons in
   List.fold_left (fun o name -> set_opt o name false) o offs
 
@@ -169,7 +169,7 @@ let cmd_run text n backend domain domains opts_off ons offs =
   require_positive_opt "--domains" domains;
   let s = parse_signature text in
   let opts = opts_of_flags ~opts_off ~ons ~offs in
-  Format.printf "opts: %a@." Plr_core.Opts.pp opts;
+  Format.printf "opts: %a@." Plr_factors.Opts.pp opts;
   let report_sim ~kind_label ~throughput ~time_s ~valid =
     Printf.printf "backend: modeled GPU (%s)\n" spec.Spec.name;
     Printf.printf "domain: %s, n = %d\n" kind_label n;
@@ -345,7 +345,7 @@ let cmd_bench n reps domains json_path opts_off ons offs =
   require_positive "--reps" reps;
   require_positive_opt "--domains" domains;
   let opts = opts_of_flags ~opts_off ~ons ~offs in
-  Format.printf "opts: %a@." Plr_core.Opts.pp opts;
+  Format.printf "opts: %a@." Plr_factors.Opts.pp opts;
   let rows = Plr_bench.Perf.smoke ~n ~reps ~opts ?domains () in
   Plr_bench.Perf.render Format.std_formatter rows;
   match json_path with
@@ -521,8 +521,8 @@ let cmd_tune_measure text n domain domains budget reps load_path save_path =
               ~trials:r.Tune_cpu_f32.trials)
   in
   Format.printf "opts: %a@."
-    (Plr_core.Opts.pp_with_tuning ~tuning:(to_s tuning))
-    Plr_core.Opts.all_on;
+    (Plr_factors.Opts.pp_with_tuning ~tuning:(to_s tuning))
+    Plr_factors.Opts.all_on;
   match save_path with
   | None -> ()
   | Some path ->
@@ -950,8 +950,8 @@ module Serve = Plr_serve.Serve
 module Serve_f32 = Plr_serve.Serve.Make (Scalar.F32)
 module Load_f32 = Plr_serve.Load.Make (Scalar.F32)
 
-let cmd_serve_bench clients seconds zipf deadline_ms depth no_batch no_guard
-    autotune shards steal_threshold open_loop slo_ms domains seed json_path =
+let cmd_serve_bench clients seconds zipf deadline_ms depth no_guard autotune
+    shards steal_threshold open_loop slo_ms domains seed json_path =
   require_positive "--clients" clients;
   require_positive "--depth" depth;
   require_positive "--seed" seed;
@@ -967,7 +967,6 @@ let cmd_serve_bench clients seconds zipf deadline_ms depth no_batch no_guard
     {
       Serve.default_config with
       Serve.max_inflight = depth;
-      batching = not no_batch;
       guard = not no_guard;
       autotune;
       shards;
@@ -1025,7 +1024,8 @@ let cmd_trace text n domain domains out =
       ignore (Engine_f32.run ~spec fs (random_f32_input sim_n));
       ignore (Multi_f32.run ?domains fs (random_f32_input n)));
   (* Serving layer: requests big enough for the pooled path (so the
-     serve→pool flow arrows appear) plus small ones for the batcher. *)
+     serve→pool flow arrows appear) plus small ones that solve on the
+     calling domain. *)
   let fs = Signature.map Plr_util.F32.round s in
   let server = Serve_f32.create ?domains () in
   let cfg = Serve.default_config in
@@ -1409,10 +1409,6 @@ let serve_bench_cmd =
            ~doc:"Admission bound: concurrently admitted requests beyond \
                  $(docv) are rejected as overloaded.")
   in
-  let no_batch =
-    Arg.(value & flag & info [ "no-batch" ]
-           ~doc:"Disable fusing of small same-signature requests.")
-  in
   let no_guard =
     Arg.(value & flag & info [ "no-guard" ]
            ~doc:"Run pooled requests without the stability guard.")
@@ -1458,12 +1454,12 @@ let serve_bench_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Also write the report as machine-readable JSON to $(docv).")
   in
-  let run clients seconds zipf deadline_ms depth no_batch no_guard autotune
+  let run clients seconds zipf deadline_ms depth no_guard autotune
       shards steal_threshold open_loop slo domains seed json trace_path =
     wrap (fun () ->
         with_trace trace_path (fun () ->
-            cmd_serve_bench clients seconds zipf deadline_ms depth no_batch
-              no_guard autotune shards steal_threshold open_loop slo domains
+            cmd_serve_bench clients seconds zipf deadline_ms depth no_guard
+              autotune shards steal_threshold open_loop slo domains
               seed json))
   in
   Cmd.v
@@ -1471,15 +1467,15 @@ let serve_bench_cmd =
        ~doc:
          "Load benchmark of the serving layer: clients draw Table 1 \
           signatures with Zipf-skewed popularity and submit them through \
-          the sharded plan cache, batcher, and guard, printing throughput, \
+          the sharded plan cache and guard, printing throughput, \
           latency percentiles, and the full metrics snapshot.  Closed-loop \
           by default; $(b,--open-loop) switches to a fixed arrival \
           schedule with goodput-under-SLO reporting, and $(b,--shards) \
           runs the signature-affinity sharded server.")
     Term.(
       ret
-        (const run $ clients $ seconds $ zipf $ deadline_ms $ depth $ no_batch
-        $ no_guard $ autotune $ shards $ steal_threshold $ open_loop $ slo
+        (const run $ clients $ seconds $ zipf $ deadline_ms $ depth $ no_guard
+        $ autotune $ shards $ steal_threshold $ open_loop $ slo
         $ domains_arg $ seed $ json $ trace_arg))
 
 let scan_cmd =

@@ -7,7 +7,7 @@ module Ef = Plr_core.Engine.Make (Scalar.F32)
 module Pi = Ei.P
 module Tune_i = Plr_core.Tune.Make (Scalar.Int)
 module Tune_f = Plr_core.Tune.Make (Scalar.F32)
-module Opts = Plr_core.Opts
+module Opts = Plr_factors.Opts
 
 let fig_tuple4 ?sizes spec =
   Figures.int_family_figure ~id:"fig-tuple4"

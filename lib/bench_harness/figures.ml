@@ -172,8 +172,8 @@ let fig10 ?(n = 1 lsl 30) spec =
         (List.map
            (fun e ->
              [|
-               Some (throughput e Plr_core.Opts.all_on);
-               Some (throughput e Plr_core.Opts.all_off);
+               Some (throughput e Plr_factors.Opts.all_on);
+               Some (throughput e Plr_factors.Opts.all_off);
              |])
            entries);
   }

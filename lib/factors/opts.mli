@@ -3,7 +3,7 @@
     memory, no specialized code).
 
     This lives in [Plr_factors] so the backend-agnostic factor compiler and
-    every backend share one option type; [Plr_core.Opts] re-exports it. *)
+    every backend share one option type. *)
 
 type t = {
   cache_factors_in_shared : bool;

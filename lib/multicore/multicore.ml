@@ -314,51 +314,65 @@ module Make (S : Plr_util.Scalar.S) = struct
           ~k ~kernel ()
     | _ -> invalid_arg "Multicore.run_int_core: not an int scalar"
 
+  (* The chunk shape and the [mc.run] span around one run of [body ~m]. *)
+  let traced_run ~n ~k ~chunk_size body =
+    (* Chunks must hold at least k elements so carry positions exist. *)
+    let m = max k (min chunk_size n) in
+    let chunks = (n + m - 1) / m in
+    Trace.begin_span2 Trace.Multicore "mc.run" n chunks;
+    match body ~m with
+    | r ->
+        Trace.end_span ();
+        r
+    | exception e ->
+        Trace.end_span ();
+        raise e
+
+  (* The one float entry: Buf in, Buf out.  Raises for non-float
+     scalars. *)
+  let float_into ?plan ?window ~faults ~cancel ~opts ~pool ~chunk_size
+      (s : S.t Signature.t) ~(src : Buf.t) ~(dst : Buf.t) =
+    let n = Buf.length src in
+    if Buf.length dst < n then invalid_arg "Multicore.run_into: dst too short";
+    if n > 0 then begin
+      let k = Signature.order s in
+      traced_run ~n ~k ~chunk_size (fun ~m ->
+          run_float_core ?plan ?window ~faults ~cancel ~opts ~pool
+            ~forward:s.Signature.forward ~feedback:s.Signature.feedback ~n ~m
+            ~k src dst)
+    end
+
   let run_with ?(opts = Opts.all_on) ?(faults = Faults.none) ?plan
       ?(cancel = Cancel.none) ?window ~pool ~chunk_size (s : S.t Signature.t)
-      (input : S.t array) =
+      (input : S.t array) : S.t array =
     let n = Array.length input in
+    let k = Signature.order s in
+    let forward = s.Signature.forward and feedback = s.Signature.feedback in
+    (* Storage dispatch: floats convert to unboxed Buf storage at this API
+       boundary only and run through [float_into]; native ints run in
+       place on their (already flat) arrays; everything else takes the
+       generic boxed kernels.  All paths run the identical schedule and
+       operation order, so outputs are bitwise identical. *)
     if n = 0 then [||]
-    else begin
-      let k = Signature.order s in
-      (* Chunks must hold at least k elements so carry positions exist. *)
-      let m = max k (min chunk_size n) in
-      let chunks = (n + m - 1) / m in
-      let forward = s.Signature.forward and feedback = s.Signature.feedback in
-      Trace.begin_span2 Trace.Multicore "mc.run" n chunks;
-      let finish () = Trace.end_span () in
-      (* Storage dispatch: floats convert to unboxed Buf storage at this
-         API boundary only; native ints run in place on their (already
-         flat) arrays; everything else takes the generic boxed kernels.
-         All paths run the identical schedule and operation order, so
-         outputs are bitwise identical. *)
-      let dispatch () : S.t array =
-        match S.rep with
-        | Plr_util.Scalar.Float_rep _ ->
-            let x = Buf.of_array input in
-            let y = Buf.create n in
-            run_float_core ?plan ?window ~faults ~cancel ~opts ~pool ~forward
-              ~feedback ~n ~m ~k x y;
-            Buf.to_array y
-        | Plr_util.Scalar.Int_rep ->
-            let y = Array.make n S.zero in
-            run_int_core ?plan ?window ~faults ~cancel ~opts ~pool ~forward
-              ~feedback ~n ~m ~k input y;
-            y
-        | Plr_util.Scalar.Other_rep ->
-            let y = Array.make n S.zero in
-            run_kernel ?plan ?window ~faults ~cancel ~opts ~pool ~feedback ~n
-              ~m ~k ~kernel:(generic_kernel ~forward ~feedback input y) ();
-            y
-      in
-      match dispatch () with
-      | y ->
-          finish ();
-          y
-      | exception e ->
-          finish ();
-          raise e
-    end
+    else
+      match S.rep with
+      | Plr_util.Scalar.Float_rep _ ->
+          let dst = Buf.create n in
+          float_into ?plan ?window ~faults ~cancel ~opts ~pool ~chunk_size s
+            ~src:(Buf.of_array input) ~dst;
+          Buf.to_array dst
+      | Plr_util.Scalar.Int_rep ->
+          traced_run ~n ~k ~chunk_size (fun ~m ->
+              let y = Array.make n S.zero in
+              run_int_core ?plan ?window ~faults ~cancel ~opts ~pool ~forward
+                ~feedback ~n ~m ~k input y;
+              y)
+      | Plr_util.Scalar.Other_rep ->
+          traced_run ~n ~k ~chunk_size (fun ~m ->
+              let y = Array.make n S.zero in
+              run_kernel ?plan ?window ~faults ~cancel ~opts ~pool ~feedback
+                ~n ~m ~k ~kernel:(generic_kernel ~forward ~feedback input y) ();
+              y)
 
   let resolve_pool ?pool ?domains () =
     match pool with Some p -> p | None -> Pool.get ?domains ()
@@ -383,26 +397,13 @@ module Make (S : Plr_util.Scalar.S) = struct
      [dst] is caller-allocated (and reusable across calls — [Stream] keeps
      one), so a warmed-up run performs no per-element allocation. *)
   let run_into ?(opts = Opts.all_on) ?plan ?(cancel = Cancel.none) ?pool
-      ?domains ?chunk_size ?window (s : S.t Signature.t) ~(src : Buf.t)
-      ~(dst : Buf.t) =
+      ?domains ?chunk_size ?window s ~src ~dst =
     let n = Buf.length src in
-    if Buf.length dst < n then invalid_arg "Multicore.run_into: dst too short";
     if n > 0 then begin
       let pool = resolve_pool ?pool ?domains () in
-      let k = Signature.order s in
       let chunk_size = resolve_chunk_size ?chunk_size ?plan ~pool n in
-      let m = max k (min chunk_size n) in
-      let chunks = (n + m - 1) / m in
-      let forward = s.Signature.forward and feedback = s.Signature.feedback in
-      Trace.begin_span2 Trace.Multicore "mc.run" n chunks;
-      match
-        run_float_core ?plan ?window ~faults:Faults.none ~cancel ~opts ~pool
-          ~forward ~feedback ~n ~m ~k src dst
-      with
-      | () -> Trace.end_span ()
-      | exception e ->
-          Trace.end_span ();
-          raise e
+      float_into ?plan ?window ~faults:Faults.none ~cancel ~opts ~pool
+        ~chunk_size s ~src ~dst
     end
 
   let sequential_pool = lazy (Pool.get ~domains:1 ())

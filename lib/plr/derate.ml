@@ -66,7 +66,7 @@ module Make (S : Plr_util.Scalar.S) = struct
        correction cascade over factors that are numerically dead. *)
     let ftz =
       if S.kind = Plr_util.Scalar.Floating
-         && (not plan.P.opts.Opts.flush_denormals)
+         && (not plan.P.opts.Plr_factors.Opts.flush_denormals)
       then ftz_loss
       else 1.0
     in

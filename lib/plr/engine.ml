@@ -321,7 +321,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     if Faults.is_none faults then run_plan_default ~with_l2 ~spec plan input
     else run_plan_faulted ~faults ~with_l2 ~spec plan input
 
-  let run ?(opts = Opts.all_on) ?faults ?with_l2 ~spec signature input =
+  let run ?(opts = Plr_factors.Opts.all_on) ?faults ?with_l2 ~spec signature input =
     let n = Array.length input in
     let plan = P.compile ~opts ~spec ~n signature in
     run_plan ?faults ?with_l2 ~spec plan input
@@ -462,7 +462,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     total.Counters.kernel_launches <- 1;
     workload_of_counters ~spec ~plan total
 
-  let predict ?(opts = Opts.all_on) ~spec ~n signature =
+  let predict ?(opts = Plr_factors.Opts.all_on) ~spec ~n signature =
     predict_plan ~spec (P.compile ~opts ~spec ~n signature)
 
   let predicted_time ?opts ~spec ~n signature =
@@ -471,7 +471,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   let predicted_throughput ?opts ~spec ~n signature =
     Cost.throughput ~n ~time_s:(predicted_time ?opts ~spec ~n signature)
 
-  let memory_usage_bytes ?(opts = Opts.all_on) ~spec ~n signature =
+  let memory_usage_bytes ?(opts = Plr_factors.Opts.all_on) ~spec ~n signature =
     let plan = P.compile ~opts ~spec ~n signature in
     let k = plan.P.order in
     let c = plan.P.lookback_window in

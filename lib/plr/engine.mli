@@ -35,7 +35,8 @@ module Make (S : Plr_util.Scalar.S) : sig
   }
 
   val run :
-    ?opts:Opts.t -> ?faults:Faults.plan -> ?with_l2:bool -> spec:Spec.t ->
+    ?opts:Plr_factors.Opts.t -> ?faults:Faults.plan -> ?with_l2:bool ->
+    spec:Spec.t ->
     S.t Signature.t -> S.t array -> result
 
   val run_plan :
@@ -53,13 +54,14 @@ module Make (S : Plr_util.Scalar.S) : sig
       counters are bit-identical to the unfaulted implementation. *)
 
   val validate_run :
-    ?opts:Opts.t -> ?tol:float -> spec:Spec.t -> S.t Signature.t ->
+    ?opts:Plr_factors.Opts.t -> ?tol:float -> spec:Spec.t -> S.t Signature.t ->
     S.t array -> (result, string) Stdlib.result
   (** [run], then compare the output against the serial algorithm the way
       the paper does (§5). *)
 
   val predict :
-    ?opts:Opts.t -> spec:Spec.t -> n:int -> S.t Signature.t -> Cost.workload
+    ?opts:Plr_factors.Opts.t -> spec:Spec.t -> n:int -> S.t Signature.t ->
+    Cost.workload
   (** Closed-form workload for an input of length [n]; by construction it
       matches [run]'s measured counters exactly (tests pin this). *)
 
@@ -67,10 +69,13 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** Same, under a pre-built (possibly custom-shaped or auto-tuned)
       plan. *)
 
-  val predicted_time : ?opts:Opts.t -> spec:Spec.t -> n:int -> S.t Signature.t -> float
-  val predicted_throughput : ?opts:Opts.t -> spec:Spec.t -> n:int -> S.t Signature.t -> float
+  val predicted_time : ?opts:Plr_factors.Opts.t -> spec:Spec.t -> n:int ->
+    S.t Signature.t -> float
+  val predicted_throughput : ?opts:Plr_factors.Opts.t -> spec:Spec.t ->
+    n:int -> S.t Signature.t -> float
 
-  val memory_usage_bytes : ?opts:Opts.t -> spec:Spec.t -> n:int -> S.t Signature.t -> int
+  val memory_usage_bytes : ?opts:Plr_factors.Opts.t -> spec:Spec.t ->
+    n:int -> S.t Signature.t -> int
   (** Device allocation for an n-word problem: input/output buffers, factor
       tables, carry rings and flags, plus the kernel-code constant —
       the NVML-style number reported in Table 2 (excluding the CUDA

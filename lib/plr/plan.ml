@@ -16,7 +16,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     lookback_window : int;
     fplan : F.t;
     shared_cache_elems : int;
-    opts : Opts.t;
+    opts : Plr_factors.Opts.t;
   }
 
   (* "Integer signatures that only contain ones and zeros" get 32 registers
@@ -34,7 +34,7 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   let max_x = match S.kind with Plr_util.Scalar.Floating -> 9 | Plr_util.Scalar.Integer -> 11
 
-  let compile_with ?(opts = Opts.all_on) ?(lookback_window = 32) ~spec ~n
+  let compile_with ?(opts = Plr_factors.Opts.all_on) ?(lookback_window = 32) ~spec ~n
       ~threads_per_block ~x (signature : S.t Signature.t) =
     if n < 1 then invalid_arg "Plan.compile: n must be positive";
     if x < 1 then invalid_arg "Plan.compile: x must be positive";
@@ -48,13 +48,13 @@ module Make (S : Plr_util.Scalar.S) = struct
     let m = threads_per_block * x in
     let fplan = F.of_feedback ~opts ~feedback:signature.feedback ~m () in
     let shared_cache_elems =
-      if opts.Opts.cache_factors_in_shared then begin
+      if opts.Plr_factors.Opts.cache_factors_in_shared then begin
         (* Clamp the per-list budget so k cached lists (plus slack for the
            carry staging) fit the block's shared memory. *)
         let cap =
           spec.Spec.shared_bytes_per_block * 3 / 4 / (max 1 order * S.bytes)
         in
-        min m (min opts.Opts.shared_cache_budget cap)
+        min m (min opts.Plr_factors.Opts.shared_cache_budget cap)
       end
       else 0
     in

@@ -21,10 +21,11 @@ module Make (S : Plr_util.Scalar.S) : sig
     lookback_window : int;      (** maximum pipeline depth c (32) *)
     fplan : F.t;                (** the compiled factor plan (k lists of m factors) *)
     shared_cache_elems : int;   (** factors per list buffered in shared memory *)
-    opts : Opts.t;
+    opts : Plr_factors.Opts.t;
   }
 
-  val compile : ?opts:Opts.t -> spec:Plr_gpusim.Spec.t -> n:int -> S.t Signature.t -> t
+  val compile : ?opts:Plr_factors.Opts.t -> spec:Plr_gpusim.Spec.t ->
+    n:int -> S.t Signature.t -> t
   (** Applies the paper's heuristics: [x] is the smallest integer with
       [x·1024·T > n] (clamped to 9 for floating-point and 11 for integer
       signatures); 32 registers per thread except 64 for integer signatures
@@ -32,7 +33,8 @@ module Make (S : Plr_util.Scalar.S) : sig
       @raise Signature.Invalid on a malformed signature. *)
 
   val compile_with :
-    ?opts:Opts.t -> ?lookback_window:int -> spec:Plr_gpusim.Spec.t -> n:int ->
+    ?opts:Plr_factors.Opts.t -> ?lookback_window:int ->
+    spec:Plr_gpusim.Spec.t -> n:int ->
     threads_per_block:int -> x:int -> S.t Signature.t -> t
   (** Like {!compile} but with the block shape (and optionally the Phase 2
       pipeline depth, default 32) pinned — used by tests (the paper's worked

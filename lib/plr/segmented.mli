@@ -23,7 +23,8 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** Reference semantics: each segment through the serial algorithm. *)
 
   val run :
-    ?opts:Opts.t -> spec:Plr_gpusim.Spec.t -> segment list -> S.t array ->
+    ?opts:Plr_factors.Opts.t -> spec:Plr_gpusim.Spec.t -> segment list ->
+    S.t array ->
     S.t array * E.result list
   (** Each segment through the full PLR engine (one compiled plan and kernel
       stream per distinct signature); returns the stitched output and the

@@ -297,9 +297,9 @@ module Make (S : Plr_util.Scalar.S) = struct
         ignore signature;
         11
 
-  let evaluate ?(opts = Opts.all_on) ~spec ~n signature ~threads_per_block ~x
+  let evaluate ?(opts = Plr_factors.Opts.all_on) ~spec ~n signature ~threads_per_block ~x
       ~cache_budget =
-    let opts = Opts.with_cache_budget opts cache_budget in
+    let opts = Plr_factors.Opts.with_cache_budget opts cache_budget in
     let plan = P.compile_with ~opts ~spec ~n ~threads_per_block ~x signature in
     let w = E.predict_plan ~spec plan in
     let predicted_time = Cost.time spec w in
@@ -340,10 +340,10 @@ module Make (S : Plr_util.Scalar.S) = struct
     | (plan, _) :: _ -> plan
     | [] -> P.compile ?opts ~spec ~n signature
 
-  let default_candidate ?(opts = Opts.all_on) ~spec ~n signature =
+  let default_candidate ?(opts = Plr_factors.Opts.all_on) ~spec ~n signature =
     let plan = P.compile ~opts ~spec ~n signature in
     snd
       (evaluate ~opts ~spec ~n signature
          ~threads_per_block:plan.P.threads_per_block ~x:plan.P.x
-         ~cache_budget:opts.Opts.shared_cache_budget)
+         ~cache_budget:opts.Plr_factors.Opts.shared_cache_budget)
 end

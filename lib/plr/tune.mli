@@ -142,18 +142,21 @@ module Make (S : Plr_util.Scalar.S) : sig
   }
 
   val candidates :
-    ?opts:Opts.t -> spec:Plr_gpusim.Spec.t -> n:int -> S.t Signature.t ->
+    ?opts:Plr_factors.Opts.t -> spec:Plr_gpusim.Spec.t -> n:int ->
+    S.t Signature.t ->
     candidate list
   (** Every swept configuration with its modeled performance, fastest
       first. *)
 
   val tune :
-    ?opts:Opts.t -> spec:Plr_gpusim.Spec.t -> n:int -> S.t Signature.t -> P.t
+    ?opts:Plr_factors.Opts.t -> spec:Plr_gpusim.Spec.t -> n:int ->
+    S.t Signature.t -> P.t
   (** The fastest plan.  Never slower (under the model) than the paper's
       default heuristics. *)
 
   val default_candidate :
-    ?opts:Opts.t -> spec:Plr_gpusim.Spec.t -> n:int -> S.t Signature.t ->
+    ?opts:Plr_factors.Opts.t -> spec:Plr_gpusim.Spec.t -> n:int ->
+    S.t Signature.t ->
     candidate
   (** The paper's §3 heuristic configuration, evaluated under the model —
       the baseline the tuner is compared against. *)

@@ -80,7 +80,7 @@ module Make (S : Plr_util.Scalar.S) : sig
       [None] for integer scalars. *)
 
   val gpusim_runner :
-    ?opts:Plr_core.Opts.t -> ?faults:Faults.plan -> ?threads_per_block:int ->
+    ?opts:Plr_factors.Opts.t -> ?faults:Faults.plan -> ?threads_per_block:int ->
     ?x:int -> ?lookback_window:int -> spec:Plr_gpusim.Spec.t -> unit -> runner
   (** The modeled-GPU engine.  The optional shape arguments pin the plan
       via [Plan.compile_with] (the chaos harness uses small chunks so the
@@ -88,7 +88,7 @@ module Make (S : Plr_util.Scalar.S) : sig
       heuristics choose the shape. *)
 
   val multicore_runner :
-    ?opts:Plr_core.Opts.t -> ?faults:Faults.plan ->
+    ?opts:Plr_factors.Opts.t -> ?faults:Faults.plan ->
     ?plan:Plr_factors.Factor_plan.Make(S).t -> ?cancel:Plr_exec.Cancel.t ->
     ?pool:Plr_exec.Pool.t ->
     ?domains:int -> ?chunk_size:int -> ?window:int -> unit -> runner
@@ -112,7 +112,7 @@ module Make (S : Plr_util.Scalar.S) : sig
       guard's check ladder passes it untouched. *)
 
   val stream_runner :
-    ?pool:Plr_exec.Pool.t -> ?domains:int -> ?opts:Plr_core.Opts.t ->
+    ?pool:Plr_exec.Pool.t -> ?domains:int -> ?opts:Plr_factors.Opts.t ->
     buffer:int -> unit -> runner
   (** Feeds the input through {!Plr_multicore.Stream} in [buffer]-sized
       chunks and concatenates the results. *)

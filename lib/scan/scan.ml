@@ -406,8 +406,32 @@ module Make (S : Plr_util.Scalar.S) = struct
     Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
     Fun.protect ~finally:Trace.end_span f
 
+  (* One pooled run of [n > 0] elements: the pool, the chunk length and
+     the span shared by every storage representation. *)
+  let pooled_run ?pool ?domains ?chunk_size ~n f =
+    let pool = resolve_pool ?pool ?domains () in
+    let m =
+      chunk_len ?chunk_size
+        ~default:(Lookback.default_chunk_size ~domains:(Pool.size pool) n)
+        n
+    in
+    traced_run ~n ~m (fun () -> f ~pool ~m)
+
+  (* Buf-in/Buf-out entry for float scalars: no boxed conversion at all,
+     and [dst] is caller-allocated (reusable across calls), so a
+     warmed-up run performs no per-element allocation. *)
+  let run_into ?(cancel = Cancel.none) ?pool ?domains ?chunk_size ?window
+      ?(y0 = S.zero) (a : Buf.t) (b : Buf.t) ~(dst : Buf.t) =
+    let n = Buf.length a in
+    if Buf.length b <> n then
+      invalid_arg "Scan.run_into: coefficient streams differ in length";
+    if Buf.length dst < n then invalid_arg "Scan.run_into: dst too short";
+    if n > 0 then
+      pooled_run ?pool ?domains ?chunk_size ~n (fun ~pool ~m ->
+          run_float_core ?window ~cancel ~pool ~n ~m ~y0 a b dst)
+
   let run ?(faults = Faults.none) ?(cancel = Cancel.none) ?pool ?domains
-      ?chunk_size ?window ?(y0 = S.zero) a b =
+      ?chunk_size ?window ?(y0 = S.zero) a b : S.t array =
     check_lengths "Scan.run" a b;
     let n = Array.length a in
     if n = 0 then [||]
@@ -421,56 +445,29 @@ module Make (S : Plr_util.Scalar.S) = struct
       traced_run ~n ~m (fun () -> run_faulted ~faults ~a ~b ~y0 y ~n ~m);
       y
     end
-    else begin
-      let pool = resolve_pool ?pool ?domains () in
-      let m =
-        chunk_len ?chunk_size
-          ~default:(Lookback.default_chunk_size ~domains:(Pool.size pool) n)
-          n
-      in
-      (* Storage dispatch: floats convert to unboxed Buf storage at
-         this API boundary only; native ints run in place on their
-         (already flat) arrays; everything else takes the generic
-         boxed kernels.  All paths run the identical schedule and
+    else
+      (* Storage dispatch: floats convert to unboxed Buf storage at this
+         API boundary only and run through [run_into]; native ints run in
+         place on their (already flat) arrays; everything else takes the
+         generic boxed kernels.  All paths run the identical schedule and
          operation order, so outputs are bitwise identical. *)
-      traced_run ~n ~m (fun () : S.t array ->
-          match S.rep with
-          | Plr_util.Scalar.Float_rep _ ->
-              let ab = Buf.of_array a and bb = Buf.of_array b in
-              let yb = Buf.create n in
-              run_float_core ?window ~cancel ~pool ~n ~m ~y0 ab bb yb;
-              Buf.to_array yb
-          | Plr_util.Scalar.Int_rep ->
+      match S.rep with
+      | Plr_util.Scalar.Float_rep _ ->
+          let dst = Buf.create n in
+          run_into ~cancel ?pool ?domains ?chunk_size ?window ~y0
+            (Buf.of_array a) (Buf.of_array b) ~dst;
+          Buf.to_array dst
+      | Plr_util.Scalar.Int_rep ->
+          pooled_run ?pool ?domains ?chunk_size ~n (fun ~pool ~m ->
               let y = Array.make n S.zero in
               run_int_core ?window ~cancel ~pool ~n ~m ~y0 a b y;
-              y
-          | Plr_util.Scalar.Other_rep ->
+              y)
+      | Plr_util.Scalar.Other_rep ->
+          pooled_run ?pool ?domains ?chunk_size ~n (fun ~pool ~m ->
               let y = Array.make n S.zero in
-              run_kernel ?window ~cancel ~pool
-                ~kernel:(generic_kernel ~a ~b y)
+              run_kernel ?window ~cancel ~pool ~kernel:(generic_kernel ~a ~b y)
                 ~n ~m ~y0 ();
               y)
-    end
-
-  (* Buf-in/Buf-out entry for float scalars: no boxed conversion at all,
-     and [dst] is caller-allocated (reusable across calls), so a
-     warmed-up run performs no per-element allocation. *)
-  let run_into ?(cancel = Cancel.none) ?pool ?domains ?chunk_size ?window
-      ?(y0 = S.zero) (a : Buf.t) (b : Buf.t) ~(dst : Buf.t) =
-    let n = Buf.length a in
-    if Buf.length b <> n then
-      invalid_arg "Scan.run_into: coefficient streams differ in length";
-    if Buf.length dst < n then invalid_arg "Scan.run_into: dst too short";
-    if n > 0 then begin
-      let pool = resolve_pool ?pool ?domains () in
-      let m =
-        chunk_len ?chunk_size
-          ~default:(Lookback.default_chunk_size ~domains:(Pool.size pool) n)
-          n
-      in
-      traced_run ~n ~m (fun () ->
-          run_float_core ?window ~cancel ~pool ~n ~m ~y0 a b dst)
-    end
 
   (* -------------------------------------------------------- streaming *)
 

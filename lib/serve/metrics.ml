@@ -199,8 +199,6 @@ let snapshot_json ?pool ?tuning ?shards t =
       counter "tune_heuristic" t.tune_heuristic;
       counter "jit_used" t.jit_used;
       counter "jit_fallback" t.jit_fallback;
-      counter "batches" t.batches;
-      counter "batched_requests" t.batched_requests;
       counter "session_checkpoints" t.session_checkpoints;
       counter "session_recoveries" t.session_recoveries;
       counter "session_fastforwards" t.session_fastforwards;

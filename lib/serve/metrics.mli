@@ -74,8 +74,11 @@ type t = {
       (** executions where a compiled entry's JIT declined (still
           building, build failed, poisoned) and the portable backend
           answered instead *)
-  batches : Counter.t;        (** fused batch executions *)
-  batched_requests : Counter.t; (** requests served through a fused batch *)
+  batches : Counter.t;
+      (** never incremented: the server no longer fuses requests into
+          batches.  Kept, always 0, because the [perfbench/] benchmark
+          reads both this field and [batched_requests]. *)
+  batched_requests : Counter.t;  (** never incremented; see [batches] *)
   session_checkpoints : Counter.t; (** session state snapshots taken *)
   session_recoveries : Counter.t;  (** session checkpoint restorations *)
   session_fastforwards : Counter.t;

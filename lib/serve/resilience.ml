@@ -233,7 +233,6 @@ let serve_config =
     Serve.default_config with
     parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
     check_prefix = 4096;
     retries = 2;
     retry_backoff = 1e-4;

@@ -27,10 +27,6 @@ type config = {
   cache_capacity : int;
   chunk_size : int;
   parallel_threshold : int;
-  batching : bool;
-  batch_threshold : int;
-  batch_max : int;
-  batch_window : float;
   guard : bool;
   check_prefix : int;
   opts : Opts.t;
@@ -50,10 +46,6 @@ let default_config =
     cache_capacity = 64;
     chunk_size = 4096;
     parallel_threshold = 16384;
-    batching = true;
-    batch_threshold = 2048;
-    batch_max = 16;
-    batch_window = 5e-4;
     guard = true;
     check_prefix = 1024;
     opts = Opts.all_on;
@@ -84,12 +76,6 @@ let fnv1a s =
   !h land max_int
 
 let now () = Unix.gettimeofday ()
-
-(* Spin-then-yield wait used by batch followers: cheap while the wait is
-   short (the leader's linger window), friendly to oversubscribed
-   machines when it is not. *)
-let relax_step i =
-  if i land 255 = 255 then Unix.sleepf 5e-5 else Domain.cpu_relax ()
 
 module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
@@ -124,19 +110,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     mutable bstate : [ `Closed | `Open of float (* retry-at *) | `Half_open ];
   }
 
-  type slot = {
-    input : S.t array;
-    slot_deadline : float option;
-    cell : (S.t array, error) result option Atomic.t;
-  }
-
-  type batch = {
-    sig_ : S.t Signature.t;
-    mutable slots : slot list; (* newest first *)
-    mutable count : int;
-    mutable sealed : bool;
-  }
-
   (* One shard: a private pool, a plan-cache partition (compiled
      factor plans, tunings, and JIT state stay hot per shard), its own
      exec lock, and the queue-depth signal the router and the stealing
@@ -166,8 +139,6 @@ module Make (S : Plr_util.Scalar.S) = struct
            and [shutdown] should close them *)
     metrics : Metrics.t;
     inflight : int Atomic.t;
-    batch_lock : Mutex.t;
-    batches : (string, batch) Hashtbl.t;
     breaker_lock : Mutex.t;
     breakers : (string, breaker) Hashtbl.t;
     last_tuning : string Atomic.t;
@@ -219,8 +190,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       owned_pools;
       metrics = Metrics.create ();
       inflight = Atomic.make 0;
-      batch_lock = Mutex.create ();
-      batches = Hashtbl.create 16;
       breaker_lock = Mutex.create ();
       breakers = Hashtbl.create 16;
       last_tuning = Atomic.make "";
@@ -501,36 +470,30 @@ module Make (S : Plr_util.Scalar.S) = struct
     Metrics.Counter.incr t.metrics.Metrics.breaker_trips;
     Trace.instant Trace.Serve "breaker.trip" b.consecutive 0
 
-  (* Fold a pooled outcome into the breaker.  [`Neutral] outcomes (a
-     deadline cut, not an engine verdict) leave the state untouched. *)
+
+  (* Fold a pooled outcome into the breaker.  A mid-flight cancellation
+     (the caller's deadline, not an engine verdict) never reaches here. *)
   let breaker_report t key verdict =
-    match verdict with
-    | `Neutral -> ()
-    | (`Clean | `Faulty) as v ->
-        let b = breaker_for t key in
-        Mutex.lock t.breaker_lock;
-        (match (b.bstate, v) with
-        | `Half_open, `Clean ->
-            b.bstate <- `Closed;
-            b.consecutive <- 0
-        | `Half_open, `Faulty ->
-            b.consecutive <- b.consecutive + 1;
-            trip t b
-        | `Closed, `Clean -> b.consecutive <- 0
-        | `Closed, `Faulty ->
-            b.consecutive <- b.consecutive + 1;
-            if b.consecutive >= t.config.breaker_threshold then trip t b
-        | `Open _, _ -> ());
-        Mutex.unlock t.breaker_lock
+    let b = breaker_for t key in
+    Mutex.lock t.breaker_lock;
+    (match (b.bstate, verdict) with
+    | `Half_open, `Clean ->
+        b.bstate <- `Closed;
+        b.consecutive <- 0
+    | `Half_open, `Faulty ->
+        b.consecutive <- b.consecutive + 1;
+        trip t b
+    | `Closed, `Clean -> b.consecutive <- 0
+    | `Closed, `Faulty ->
+        b.consecutive <- b.consecutive + 1;
+        if b.consecutive >= t.config.breaker_threshold then trip t b
+    | `Open _, _ -> ());
+    Mutex.unlock t.breaker_lock
 
   (* ------------------------------------------------------- execution *)
 
-  (* Small requests solve on the calling domain: at these lengths the
-     chunked protocol cannot win, and the serial evaluation *is* the
-     reference the guard would check against.  Only the non-finite scan
-     is meaningful on top.  A ready JIT kernel answers first — its
-     output is verified bitwise-identical to [Serial.full], so the
-     non-finite scan applies unchanged. *)
+  (* A ready JIT kernel answers first on every recurrence path: its
+     output is verified bitwise-identical to [Serial.full]. *)
   let try_jit t jit x =
     match jit with
     | None -> None
@@ -543,20 +506,15 @@ module Make (S : Plr_util.Scalar.S) = struct
             Metrics.Counter.incr t.metrics.Metrics.jit_fallback;
             None)
 
-  let exec_local ?jit t s x =
-    match
-      match try_jit t jit x with
-      | Some y -> y
-      | None -> Serial.full s x
-    with
-    | exception e -> Error (Failed (Printexc.to_string e))
-    | y -> (
-        if not t.config.guard then Ok y
-        else
-          match G.first_non_finite y with
-          | None -> Ok y
-          | Some i ->
-              Error (Failed (Printf.sprintf "non-finite value at index %d" i)))
+  (* The non-finite output check of every path the stability guard does
+     not already cover: the calling-domain paths and pooled scans. *)
+  let guarded t y =
+    if not t.config.guard then Ok y
+    else
+      match G.first_non_finite y with
+      | None -> Ok y
+      | Some i ->
+          Error (Failed (Printf.sprintf "non-finite value at index %d" i))
 
   let last_violation (o : G.outcome) =
     let rec last acc = function
@@ -568,11 +526,11 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Some v -> Guard.violation_to_string v
     | None -> "rejected"
 
-  (* Pooled execution returns the serving result plus the breaker verdict:
-     [`Clean] for an undegraded success, [`Faulty] for a degradation or
-     failure, [`Neutral] for a mid-flight cancellation (the caller's
-     deadline, not an engine fault). *)
-  let exec_pooled ?faults ?(cancel = Cancel.none) t sh entry s x =
+  (* Pooled recurrence execution, with the outcome folded into the
+     signature's breaker: an undegraded success is [`Clean], a
+     degradation or failure [`Faulty].  [Cancel.Cancelled] propagates
+     to the request pipeline without a verdict. *)
+  let exec_pooled ?faults ~cancel t sh entry key s x =
     let cfg = t.config in
     (* The entry's tuning supplies the schedule knobs; its plan was
        compiled to cover the tuned chunk size, so no recompile here. *)
@@ -583,7 +541,7 @@ module Make (S : Plr_util.Scalar.S) = struct
        fault-injected runs (chaos, tests) skip the JIT here.  Chaos
        exercises the JIT path through its own [Jit] target instead. *)
     let jit = if faults = None then entry.jit else None in
-    match
+    let r, verdict =
       if cfg.guard then begin
         let mc =
           G.multicore_runner ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
@@ -619,13 +577,9 @@ module Make (S : Plr_util.Scalar.S) = struct
             | y -> (Ok y, `Clean)
             | exception Cancel.Cancelled -> raise Cancel.Cancelled
             | exception e -> (Error (Failed (Printexc.to_string e)), `Faulty))
-    with
-    | r -> r
-    | exception Cancel.Cancelled ->
-        (* The token fired at a chunk boundary: stop billing the pool and
-           report the cut to the client as a missed deadline. *)
-        Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
-        (Error Deadline_exceeded, `Neutral)
+    in
+    breaker_report t key verdict;
+    r
 
   (* Requests that occupy a shard's pool serialize on its [sexec_lock];
      the wait is the request's queue time.  [queue_depth] brackets the
@@ -654,116 +608,89 @@ module Make (S : Plr_util.Scalar.S) = struct
       r
     end
 
-  (* -------------------------------------------------------- batching *)
+  (* ------------------------------------------------ the request path *)
 
-  let fill_slot slot r =
-    match Atomic.get slot.cell with
-    | Some _ -> ()
-    | None -> Atomic.set slot.cell (Some r)
+  (* What a request kind supplies to the one request pipeline below.
+     ['e] is the kind's cached plan entry. *)
+  type 'e kind = {
+    cat : Trace.cat;
+    request_span : string;
+    flow_span : string;
+    retry_span : string;
+    key : string;  (* routes to the home shard and seeds the backoff *)
+    n : int;  (* request length *)
+    invalid : string option;
+        (* a malformed request, failed before routing and never retried *)
+    counters : (Metrics.Counter.t * Metrics.Counter.t * Metrics.Counter.t) option;
+        (* the kind's own submitted/completed/failed attribution *)
+    plan : shard -> 'e;  (* the plan entry on a shard (home or thief) *)
+    local_max : 'e -> int;
+        (* lengths at or below this solve on the calling domain *)
+    pooled_ok : unit -> bool;
+        (* [false] sends a pooled-size request to the calling domain
+            (an open breaker) *)
+    local : faults:Faults.plan option -> 'e -> S.t array;
+        (* calling-domain evaluation; may raise *)
+    pooled :
+      faults:Faults.plan option -> shard -> 'e -> Cancel.t ->
+      (S.t array, error) result;
+        (* pooled evaluation on the given shard; may raise, including
+            [Cancel.Cancelled] when the deadline fires mid-flight *)
+  }
 
-  let run_batch t sh b =
-    let slots = Array.of_list (List.rev b.slots) in
-    Metrics.Counter.incr t.metrics.Metrics.batches;
-    Metrics.Counter.add t.metrics.Metrics.batched_requests (Array.length slots);
-    let body i =
-      let slot = slots.(i) in
-      let r =
-        if deadline_passed slot.slot_deadline then Error Deadline_exceeded
-        else
-          match Serial.full b.sig_ slot.input with
-          | exception e -> Error (Failed (Printexc.to_string e))
-          | y -> (
-              match (t.config.guard, G.first_non_finite y) with
-              | true, Some i ->
-                  Error
-                    (Failed (Printf.sprintf "non-finite value at index %d" i))
-              | _ -> Ok y)
-      in
-      fill_slot slot r
+  let exec_local ~t0 t k ~faults entry =
+    Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
+    let e0 = now () in
+    let r =
+      match k.local ~faults entry with
+      | exception e -> Error (Failed (Printexc.to_string e))
+      | y -> guarded t y
     in
-    Trace.begin_span2 Trace.Serve "serve.batch" (Array.length slots) 0;
-    Fun.protect
-      ~finally:(fun () ->
-        (* Whatever happened, no follower may be left spinning. *)
-        Array.iter
-          (fun slot -> fill_slot slot (Error (Failed "batch aborted")))
-          slots;
-        Trace.end_span ())
-    @@ fun () -> Pool.run sh.spool ~tasks:(Array.length slots) body
-
-  let await_slot ~t0 t slot =
-    let hard_limit = Float.max 30.0 (1000.0 *. t.config.batch_window) in
-    let i = ref 0 in
-    let rec wait () =
-      match Atomic.get slot.cell with
-      | Some r ->
-          Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-          r
-      | None ->
-          if now () -. t0 > hard_limit then
-            Error (Failed "batch leader stalled")
-          else begin
-            relax_step !i;
-            incr i;
-            wait ()
-          end
-    in
-    Trace.begin_span Trace.Serve "serve.wait";
-    let r = wait () in
-    Trace.end_span ();
+    Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
     r
 
-  let submit_batched ~t0 ?deadline t sh key s x =
-    let slot =
-      { input = x; slot_deadline = deadline; cell = Atomic.make None }
-    in
-    Mutex.lock t.batch_lock;
-    let role =
-      match Hashtbl.find_opt t.batches key with
-      | Some b when (not b.sealed) && b.count < t.config.batch_max ->
-          b.slots <- slot :: b.slots;
-          b.count <- b.count + 1;
-          `Follower
-      | _ ->
-          let b = { sig_ = s; slots = [ slot ]; count = 1; sealed = false } in
-          (* Displacing a sealed or full batch is fine: its leader holds
-             its own reference and only removes the table binding if it
-             still points at that batch. *)
-          Hashtbl.replace t.batches key b;
-          `Leader b
-    in
-    Mutex.unlock t.batch_lock;
-    match role with
-    | `Follower -> await_slot ~t0 t slot
-    | `Leader b ->
-        (* Linger for followers, then seal, detach, and execute. *)
-        let window_end = t0 +. t.config.batch_window in
-        let i = ref 0 in
-        let full () =
-          Mutex.lock t.batch_lock;
-          let f = b.count >= t.config.batch_max in
-          Mutex.unlock t.batch_lock;
-          f
+  (* One admitted attempt: admission control, then the calling domain
+     for short requests (and for pooled-size ones the kind turns away),
+     else the pooled engine on the home shard or a thief, with the
+     deadline armed as a mid-flight cancellation token.  [served]
+     reports which shard executed the attempt (differs from [home]
+     exactly when the pooled path stole). *)
+  let attempt_once ~t0 ?deadline ~faults ~served t k home =
+    if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
+      Atomic.decr t.inflight;
+      Error Overloaded
+    end
+    else
+      Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) @@ fun () ->
+      let entry = k.plan home in
+      if deadline_passed deadline then Error Deadline_exceeded
+      else if k.n <= k.local_max entry then exec_local ~t0 t k ~faults entry
+      else if not (k.pooled_ok ()) then begin
+        Metrics.Counter.incr t.metrics.Metrics.breaker_shorted;
+        exec_local ~t0 t k ~faults entry
+      end
+      else begin
+        let exec_sh = pick_exec_shard t home in
+        note_exec_shard t home exec_sh;
+        served := exec_sh;
+        (* A stolen request re-resolves its plan on the thief: each
+           shard keeps its own cache partition warm. *)
+        let entry = if exec_sh == home then entry else k.plan exec_sh in
+        let cancel =
+          match deadline with
+          | None -> Cancel.none
+          | Some d -> Cancel.create ~deadline:d ()
         in
-        while (not (full ())) && now () < window_end do
-          relax_step !i;
-          incr i
-        done;
-        Mutex.lock t.batch_lock;
-        b.sealed <- true;
-        (match Hashtbl.find_opt t.batches key with
-        | Some b' when b' == b -> Hashtbl.remove t.batches key
-        | _ -> ());
-        Mutex.unlock t.batch_lock;
-        exec_serialized ~t0 t sh (fun () ->
-            run_batch t sh b;
-            Ok [||])
-        |> ignore;
-        (match Atomic.get slot.cell with
-        | Some r -> r
-        | None -> Error (Failed "batch aborted"))
-
-  (* ---------------------------------------------------------- submit *)
+        exec_serialized ~t0 ?deadline t exec_sh (fun () ->
+            match k.pooled ~faults exec_sh entry cancel with
+            | r -> r
+            | exception Cancel.Cancelled ->
+                (* The token fired at a chunk boundary: stop billing the
+                   pool and report the cut as a missed deadline. *)
+                Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
+                Error Deadline_exceeded
+            | exception e -> Error (Failed (Printexc.to_string e)))
+      end
 
   let classify_result t = function
     | Ok _ -> Metrics.Counter.incr t.metrics.Metrics.completed
@@ -771,67 +698,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Error Deadline_exceeded ->
         Metrics.Counter.incr t.metrics.Metrics.deadline_missed
     | Error (Failed _) -> Metrics.Counter.incr t.metrics.Metrics.failed
-
-  (* One admitted attempt: admission control, then routing — batched,
-     local-serial, breaker-shorted serial, or pooled (with the breaker
-     verdict folded back in and the deadline armed as a mid-flight
-     cancellation token).  [home] is the request's affinity shard;
-     [served] reports which shard actually executed the attempt (differs
-     from [home] exactly when the pooled path stole). *)
-  let attempt_once ~t0 ?deadline ?faults ~served t home key s x =
-    if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
-      Atomic.decr t.inflight;
-      Error Overloaded
-    end
-    else
-      Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) @@ fun () ->
-      let n = Array.length x in
-      let entry, _hit = plan_on ~n t home key s in
-      let local () =
-        Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-        let e0 = now () in
-        let r =
-          exec_local
-            ?jit:(if faults = None then entry.jit else None)
-            t s x
-        in
-        Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
-        r
-      in
-      if deadline_passed deadline then Error Deadline_exceeded
-      else if
-        t.config.batching && n <= t.config.batch_threshold
-        && Pool.size home.spool > 1
-      then submit_batched ~t0 ?deadline t home key s x
-      else if n <= entry.serial_cutoff then
-        if deadline_passed deadline then Error Deadline_exceeded else local ()
-      else begin
-        match breaker_route t key with
-        | `Serial ->
-            Metrics.Counter.incr t.metrics.Metrics.breaker_shorted;
-            local ()
-        | `Pooled ->
-            let exec_sh = pick_exec_shard t home in
-            note_exec_shard t home exec_sh;
-            served := exec_sh;
-            (* A stolen request re-resolves its plan on the thief: each
-               shard keeps its own cache partition warm. *)
-            let entry =
-              if exec_sh == home then entry
-              else fst (plan_on ~n t exec_sh key s)
-            in
-            let cancel =
-              match deadline with
-              | None -> Cancel.none
-              | Some d -> Cancel.create ~deadline:d ()
-            in
-            exec_serialized ~t0 ?deadline t exec_sh (fun () ->
-                let r, verdict =
-                  exec_pooled ?faults ~cancel t exec_sh entry s x
-                in
-                breaker_report t key verdict;
-                r)
-      end
 
   let retryable = function
     | Error Overloaded | Error (Failed _) -> true
@@ -844,8 +710,8 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Error (Failed _) -> 2
 
   (* Exponential backoff with deterministic jitter: the delay sequence of
-     a given (signature, attempt) pair is reproducible run to run, which
-     keeps the chaos campaigns and their pinned tests deterministic. *)
+     a given (key, attempt) pair is reproducible run to run, which keeps
+     the chaos campaigns and their pinned tests deterministic. *)
   let backoff_delay t ~key ~attempt =
     let gen =
       Plr_util.Splitmix.create (Hashtbl.hash key lxor ((attempt + 1) * 0x9E3779B9))
@@ -855,47 +721,93 @@ module Make (S : Plr_util.Scalar.S) = struct
     in
     t.config.retry_backoff *. float_of_int (1 lsl attempt) *. (0.5 +. jitter)
 
-  let submit ?deadline ?faults t (s : S.t Signature.t) x =
-    let t0 = now () in
+  (* The request pipeline both kinds run: accounting, routing to the
+     home shard, and bounded retries of [attempt_once].  [t0] is the
+     client-view start of the request. *)
+  let serve_request ~t0 ?deadline ?faults t k =
     Metrics.Counter.incr t.metrics.Metrics.submitted;
+    Option.iter (fun (sub, _, _) -> Metrics.Counter.incr sub) k.counters;
     (* One flow id per request links the request span to the pool tasks
        that execute it (across domains) in the exported trace. *)
     let flow = if Trace.enabled () then Trace.next_flow_id () else 0 in
-    Trace.begin_span2 Trace.Serve "serve.request" (Array.length x) flow;
-    Trace.flow_start Trace.Serve "serve.flow" flow;
+    Trace.begin_span2 k.cat k.request_span k.n flow;
+    Trace.flow_start k.cat k.flow_span flow;
     Trace.set_ambient_flow flow;
-    let key = cache_key t s in
-    let home = home_shard t key in
-    Atomic.incr home.routed;
-    Trace.instant Trace.Serve "serve.shard.route" home.sindex
-      (Atomic.get home.queue_depth);
-    let served = ref home in
-    let rec go attempt faults =
-      let r = attempt_once ~t0 ?deadline ?faults ~served t home key s x in
-      if
-        attempt < t.config.retries && retryable r
-        && not (deadline_passed deadline)
-      then begin
-        Metrics.Counter.incr t.metrics.Metrics.retries;
-        Trace.instant Trace.Serve "serve.retry" attempt (error_code r);
-        let d = backoff_delay t ~key ~attempt in
-        let d =
-          match deadline with None -> d | Some dl -> min d (dl -. now ())
-        in
-        if d > 0.0 then Unix.sleepf d;
-        (* Injected fault plans model transient faults: they apply to the
-           first attempt only, so a retry is a genuinely clean re-run. *)
-        go (attempt + 1) None
-      end
-      else r
+    let served = ref t.shards_.(0) in
+    let r =
+      match k.invalid with
+      | Some m -> Error (Failed m)
+      | None ->
+          let home = home_shard t k.key in
+          Atomic.incr home.routed;
+          Trace.instant Trace.Serve "serve.shard.route" home.sindex
+            (Atomic.get home.queue_depth);
+          served := home;
+          let rec go attempt faults =
+            let r = attempt_once ~t0 ?deadline ~faults ~served t k home in
+            if
+              attempt < t.config.retries && retryable r
+              && not (deadline_passed deadline)
+            then begin
+              Metrics.Counter.incr t.metrics.Metrics.retries;
+              Trace.instant k.cat k.retry_span attempt (error_code r);
+              let d = backoff_delay t ~key:k.key ~attempt in
+              let d =
+                match deadline with None -> d | Some dl -> min d (dl -. now ())
+              in
+              if d > 0.0 then Unix.sleepf d;
+              (* Injected fault plans model transient faults: they apply
+                 to the first attempt only, so a retry is a genuinely
+                 clean re-run. *)
+              go (attempt + 1) None
+            end
+            else r
+          in
+          go 0 faults
     in
-    let r = go 0 faults in
     classify_result t r;
     (match r with Ok _ -> Atomic.incr !served.completed_on | Error _ -> ());
+    Option.iter
+      (fun (_, completed, failed) ->
+        match r with
+        | Ok _ -> Metrics.Counter.incr completed
+        | Error (Failed _) -> Metrics.Counter.incr failed
+        | Error _ -> ())
+      k.counters;
     Metrics.Histogram.observe t.metrics.Metrics.total (now () -. t0);
     Trace.set_ambient_flow 0;
     Trace.end_span ();
     r
+
+  (* ------------------------------------------------------------ kinds *)
+
+  let submit ?deadline ?faults t (s : S.t Signature.t) x =
+    let t0 = now () in
+    let key = cache_key t s and n = Array.length x in
+    serve_request ~t0 ?deadline ?faults t
+      {
+        cat = Trace.Serve;
+        request_span = "serve.request";
+        flow_span = "serve.flow";
+        retry_span = "serve.retry";
+        key;
+        n;
+        invalid = None;
+        counters = None;
+        plan = (fun sh -> fst (plan_on ~n t sh key s));
+        local_max = (fun e -> e.serial_cutoff);
+        pooled_ok = (fun () -> breaker_route t key = `Pooled);
+        (* Short requests solve on the calling domain: at these lengths
+           the chunked protocol cannot win, and the serial evaluation
+           {e is} the reference the guard would check against. *)
+        local =
+          (fun ~faults e ->
+            let jit = if faults = None then e.jit else None in
+            match try_jit t jit x with Some y -> y | None -> Serial.full s x);
+        pooled =
+          (fun ~faults sh e cancel ->
+            exec_pooled ?faults ~cancel t sh e key s x);
+      }
 
   let session ?checkpoint_every t s =
     (* Sticky state lives on the signature's home shard — the same place
@@ -938,117 +850,41 @@ module Make (S : Plr_util.Scalar.S) = struct
        else t.metrics.Metrics.plan_misses);
     entry
 
-  let scan_guarded t y =
-    match (t.config.guard, G.first_non_finite y) with
-    | true, Some i ->
-        Error (Failed (Printf.sprintf "non-finite value at index %d" i))
-    | _ -> Ok y
-
-  (* One admitted scan attempt: small requests evaluate on the calling
-     domain (the serial chain *is* the reference at these lengths); large
-     ones take the pooled look-back engine under [exec_lock], with the
-     deadline armed as a mid-flight cancellation token.  A carry fault
-     the engine detects ({!Lookback.Fault_detected}) degrades to the
-     serial evaluator — loud, counted, never silent. *)
-  let scan_attempt ~t0 ?deadline ~served t home entry a b =
-    if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
-      Atomic.decr t.inflight;
-      Error Overloaded
-    end
-    else
-      Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) @@ fun () ->
-      let n = Array.length a in
-      if deadline_passed deadline then Error Deadline_exceeded
-      else if n <= t.config.parallel_threshold then begin
-        Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-        let e0 = now () in
-        let r =
-          match Sc.serial a b with
-          | exception e -> Error (Failed (Printexc.to_string e))
-          | y -> scan_guarded t y
-        in
-        Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
-        r
-      end
-      else begin
-        let exec_sh = pick_exec_shard t home in
-        note_exec_shard t home exec_sh;
-        served := exec_sh;
-        let entry =
-          if exec_sh == home then entry else scan_entry_for t exec_sh n
-        in
-        let cancel =
-          match deadline with
-          | None -> Cancel.none
-          | Some d -> Cancel.create ~deadline:d ()
-        in
-        exec_serialized ~t0 ?deadline t exec_sh (fun () ->
-            match
-              Sc.run ~cancel ~pool:exec_sh.spool ~chunk_size:entry.schunk
-                ~window:entry.swindow a b
-            with
-            | y -> scan_guarded t y
-            | exception Cancel.Cancelled ->
-                Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
-                Error Deadline_exceeded
-            | exception Lookback.Fault_detected _ ->
-                Metrics.Counter.incr t.metrics.Metrics.degraded;
-                (match Sc.serial a b with
-                | y -> scan_guarded t y
-                | exception e -> Error (Failed (Printexc.to_string e)))
-            | exception e -> Error (Failed (Printexc.to_string e)))
-      end
-
   let submit_scan ?deadline t a b =
     let t0 = now () in
-    Metrics.Counter.incr t.metrics.Metrics.submitted;
-    Metrics.Counter.incr t.metrics.Metrics.scan_submitted;
-    let flow = if Trace.enabled () then Trace.next_flow_id () else 0 in
-    Trace.begin_span2 Trace.Scan "scan.request" (Array.length a) flow;
-    Trace.flow_start Trace.Scan "scan.flow" flow;
-    Trace.set_ambient_flow flow;
-    let served = ref t.shards_.(0) in
-    let r =
-      if Array.length a <> Array.length b then
-        Error (Failed "coefficient streams differ in length")
-      else begin
-        let n = Array.length a in
-        let key = scan_key n in
-        let home = home_shard t key in
-        Atomic.incr home.routed;
-        Trace.instant Trace.Serve "serve.shard.route" home.sindex
-          (Atomic.get home.queue_depth);
-        served := home;
-        let entry = scan_entry_for t home n in
-        let rec go attempt =
-          let r = scan_attempt ~t0 ?deadline ~served t home entry a b in
-          if
-            attempt < t.config.retries && retryable r
-            && not (deadline_passed deadline)
-          then begin
-            Metrics.Counter.incr t.metrics.Metrics.retries;
-            Trace.instant Trace.Scan "scan.retry" attempt (error_code r);
-            let d = backoff_delay t ~key ~attempt in
-            let d =
-              match deadline with None -> d | Some dl -> min d (dl -. now ())
-            in
-            if d > 0.0 then Unix.sleepf d;
-            go (attempt + 1)
-          end
-          else r
-        in
-        go 0
-      end
-    in
-    classify_result t r;
-    (match r with
-    | Ok _ ->
-        Atomic.incr !served.completed_on;
-        Metrics.Counter.incr t.metrics.Metrics.scan_completed
-    | Error (Failed _) -> Metrics.Counter.incr t.metrics.Metrics.scan_failed
-    | Error _ -> ());
-    Metrics.Histogram.observe t.metrics.Metrics.total (now () -. t0);
-    Trace.set_ambient_flow 0;
-    Trace.end_span ();
-    r
+    let n = Array.length a in
+    let m = t.metrics in
+    serve_request ~t0 ?deadline t
+      {
+        cat = Trace.Scan;
+        request_span = "scan.request";
+        flow_span = "scan.flow";
+        retry_span = "scan.retry";
+        key = scan_key n;
+        n;
+        invalid =
+          (if Array.length b <> n then
+             Some "coefficient streams differ in length"
+           else None);
+        counters =
+          Some (m.Metrics.scan_submitted, m.Metrics.scan_completed,
+                m.Metrics.scan_failed);
+        plan = (fun sh -> scan_entry_for t sh n);
+        local_max = (fun _ -> t.config.parallel_threshold);
+        pooled_ok = (fun () -> true);
+        local = (fun ~faults:_ _ -> Sc.serial a b);
+        (* A carry fault the engine detects degrades to the serial
+           evaluator — loud, counted, never silent. *)
+        pooled =
+          (fun ~faults:_ sh e cancel ->
+            guarded t
+              (match
+                 Sc.run ~cancel ~pool:sh.spool ~chunk_size:e.schunk
+                   ~window:e.swindow a b
+               with
+              | y -> y
+              | exception Lookback.Fault_detected _ ->
+                  Metrics.Counter.incr m.Metrics.degraded;
+                  Sc.serial a b));
+      }
 end

@@ -29,10 +29,10 @@
     + honours its {b deadline}: a request whose absolute deadline passes
       before execution starts is cut with {!Deadline_exceeded} (never
       started, so it cannot occupy the pool);
-    + may be {b batched}: small same-signature requests that arrive
-      within the batch window are fused into one pool job (one task per
-      request, each evaluated against the exact serial reference), which
-      amortizes pool wake-up across the batch;
+    + runs on one of three paths: {b local} (inputs at or below
+      [config.parallel_threshold] solve on the calling domain, through
+      a ready JIT kernel or the serial reference), {b pooled} (the
+      home shard's pool), or {b stolen} (another shard's pool);
     + executes {b guarded} (when [guard] is on): the parallel engine runs
       under {!Plr_robust.Guard} with the cached stability report, so a
       poisoned request degrades to a fallback stage instead of wedging a
@@ -81,12 +81,6 @@ type config = {
   parallel_threshold : int;
       (** inputs longer than this use the pooled engine; at or below it
           the request solves on the calling domain (default 16384) *)
-  batching : bool;  (** fuse small same-signature requests (default true) *)
-  batch_threshold : int;
-      (** inputs of at most this length are batchable (default 2048) *)
-  batch_max : int;  (** requests fused into one batch at most (default 16) *)
-  batch_window : float;
-      (** seconds a batch leader lingers for followers (default 500us) *)
   guard : bool;
       (** wrap pooled execution in {!Plr_robust.Guard} (default true) *)
   check_prefix : int;
@@ -262,8 +256,8 @@ module Make (S : Plr_util.Scalar.S) : sig
   val submit_scan :
     ?deadline:float -> t -> S.t array -> S.t array -> (S.t array, error) result
   (** [submit_scan t a b] serves one time-varying recurrence request
-      [y[i] = a[i]*y[i-1] + b[i]] through {!Plr_scan.Scan}.  The request
-      lifecycle mirrors {!submit}: admission control against
+      [y[i] = a[i]*y[i-1] + b[i]] through {!Plr_scan.Scan}.  It runs the
+      same request pipeline as {!submit}: admission control against
       [config.max_inflight], deadlines enforced before execution and
       mid-flight at chunk boundaries, retries with deterministic backoff,
       the shared latency histograms, and per-kind attribution in the

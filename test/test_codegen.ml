@@ -9,7 +9,7 @@ module Ei = Plr_codegen.Emit.Make (Scalar.Int)
 module Ef = Plr_codegen.Emit.Make (Scalar.F32)
 module Pi = Ei.P
 module Pf = Ef.P
-module Opts = Plr_core.Opts
+module Opts = Plr_factors.Opts
 
 let spec = Spec.titan_x
 let check_bool = Alcotest.(check bool)

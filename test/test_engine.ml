@@ -178,8 +178,8 @@ let test_opts_equivalence () =
   let input = random_input gen 8000 in
   List.iter
     (fun signature ->
-      let on = E.run ~opts:Plr_core.Opts.all_on ~spec signature input in
-      let off = E.run ~opts:Plr_core.Opts.all_off ~spec signature input in
+      let on = E.run ~opts:Plr_factors.Opts.all_on ~spec signature input in
+      let off = E.run ~opts:Plr_factors.Opts.all_off ~spec signature input in
       check_ints "opts on = opts off" off.E.output on.E.output)
     [ int_sig [| 1 |] [| 1 |];
       int_sig [| 1 |] [| 0; 1 |];
@@ -195,8 +195,8 @@ let test_opts_equivalence_float () =
   List.iter
     (fun entry ->
       let s = Signature.map Plr_util.F32.round entry.Table1.signature in
-      let on = Ef.run ~opts:Plr_core.Opts.all_on ~spec s input in
-      let off = Ef.run ~opts:Plr_core.Opts.all_off ~spec s input in
+      let on = Ef.run ~opts:Plr_factors.Opts.all_on ~spec s input in
+      let off = Ef.run ~opts:Plr_factors.Opts.all_off ~spec s input in
       match Serial_f32.validate ~tol:1e-3 ~expected:off.Ef.output on.Ef.output with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s: %s" entry.Table1.name msg)
@@ -260,7 +260,7 @@ let test_predict_matches_run_opts_off () =
   List.iter
     (fun (signature, n) ->
       let input = Array.init n (fun _ -> Plr_util.Splitmix.int_in gen2 ~lo:(-9) ~hi:9) in
-      let opts = Plr_core.Opts.all_off in
+      let opts = Plr_factors.Opts.all_off in
       let result = E.run ~opts ~spec signature input in
       let predicted = E.predict ~opts ~spec ~n signature in
       Alcotest.check workload_testable

@@ -12,7 +12,7 @@ module Seg = Plr_core.Segmented.Make (Scalar.Int)
 module Ei = Plr_core.Engine.Make (Scalar.Int)
 module P = Ei.P
 module Serial = Plr_serial.Serial.Make (Scalar.Int)
-module Opts = Plr_core.Opts
+module Opts = Plr_factors.Opts
 module Series = Plr_bench.Series
 module Ablation = Plr_bench.Ablation
 

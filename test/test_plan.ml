@@ -5,7 +5,7 @@ module Scalar = Plr_util.Scalar
 module Spec = Plr_gpusim.Spec
 module Pi = Plr_core.Plan.Make (Scalar.Int)
 module Pf = Plr_core.Plan.Make (Scalar.F32)
-module Opts = Plr_core.Opts
+module Opts = Plr_factors.Opts
 module A = Plr_nnacci.Analysis
 
 let spec = Spec.titan_x

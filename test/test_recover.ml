@@ -262,7 +262,6 @@ let breaker_config =
   { Serve.default_config with
     Serve.parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
     check_prefix = 8192;
     retries = 0;
     breaker_threshold = 2;
@@ -386,7 +385,6 @@ let test_midflight_deadline () =
     { Serve.default_config with
       Serve.parallel_threshold = 1024;
       chunk_size = 1024;
-      batching = false;
       guard = false;
       retries = 2 }
   in

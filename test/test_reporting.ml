@@ -5,7 +5,7 @@ module Scalar = Plr_util.Scalar
 module Spec = Plr_gpusim.Spec
 module Counters = Plr_gpusim.Counters
 module Series = Plr_bench.Series
-module Opts = Plr_core.Opts
+module Opts = Plr_factors.Opts
 module Pi = Plr_core.Plan.Make (Scalar.Int)
 
 let spec = Spec.titan_x

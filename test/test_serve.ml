@@ -16,6 +16,7 @@ module Srv_i = Serve.Make (Scalar.Int)
 module Srv_f = Serve.Make (Scalar.F32)
 module Load_i = Load.Make (Scalar.Int)
 module Si = Plr_serial.Serial.Make (Scalar.Int)
+module JB_i = Plr_jit.Backend.Make (Scalar.Int)
 module Chaos_i = Chaos.Make (Scalar.Int)
 
 let contains ~needle hay =
@@ -33,7 +34,7 @@ let random_input seed n =
   let g = Plr_util.Splitmix.create seed in
   Array.init n (fun _ -> Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9)
 
-(* Every execution path: batched (small), local (mid), pooled (large). *)
+(* Both execution paths: local (64, 500, 3000) and pooled (20000). *)
 let hammer_sizes = [| 64; 500; 3000; 20000 |]
 
 let signatures =
@@ -44,12 +45,19 @@ let signatures =
 
 (* ------------------------------------------------------------- hammer *)
 
-let test_hammer () =
+(* With [PLR_JIT=off] the plan compiles no JIT kernel, so the pooled
+   size runs the multicore engine on the pool; otherwise a ready kernel
+   answers it on the calling domain. *)
+let with_jit_disabled f =
+  let prev = Option.value ~default:"" (Sys.getenv_opt "PLR_JIT") in
+  Unix.putenv "PLR_JIT" "off";
+  Fun.protect ~finally:(fun () -> Unix.putenv "PLR_JIT" prev) f
+
+let hammer ~check_pool () =
   let config =
     { Serve.default_config with
       Serve.parallel_threshold = 4096;
-      chunk_size = 1024;
-      batch_window = 2e-4 }
+      chunk_size = 1024 }
   in
   let server = Srv_i.create ~config ~domains:3 () in
   (* Reference outputs, one per (signature, size), computed serially. *)
@@ -99,8 +107,64 @@ let test_hammer () =
   (* Satellite: pool stats counted the work and expose the pool size. *)
   let st = Pool.stats (Srv_i.pool server) in
   Alcotest.(check int) "pool size" (Pool.size (Srv_i.pool server)) st.Pool.size;
-  if st.Pool.jobs_completed <= 0 then
+  if check_pool && st.Pool.jobs_completed <= 0 then
     Alcotest.failf "pool completed %d jobs, expected > 0" st.Pool.jobs_completed
+
+(* Once with the JIT as the environment leaves it, once without it: only
+   the second run is sure to put the pooled size on the pool. *)
+let test_hammer () =
+  hammer ~check_pool:false ();
+  with_jit_disabled (hammer ~check_pool:true)
+
+(* Requests at or below [parallel_threshold] solve on the calling
+   domain: concurrent small submits never occupy the server's pool, stay
+   bitwise identical to the serial reference, and are answered by the
+   JIT kernel once it is ready. *)
+let test_small_requests_local () =
+  let server = Srv_i.create ~domains:2 () in
+  let s = int_sig [| 1 |] [| 2; -1 |] in
+  let inputs = Array.init 32 (fun i -> random_input (300 + i) 512) in
+  let wants = Array.map (Si.full s) inputs in
+  let clients = 4 in
+  let per_client = Array.length inputs / clients in
+  let submit_all () =
+    let client c () =
+      let bad = ref [] in
+      for i = c * per_client to ((c + 1) * per_client) - 1 do
+        match Srv_i.submit server s inputs.(i) with
+        | Ok y ->
+            if y <> wants.(i) then bad := Printf.sprintf "req %d diverged" i :: !bad
+        | Error e ->
+            bad := Printf.sprintf "req %d: %s" i (Serve.error_to_string e) :: !bad
+      done;
+      !bad
+    in
+    let ds = Array.init (clients - 1) (fun c -> Domain.spawn (client (c + 1))) in
+    let bad = client 0 () @ List.concat_map Domain.join (Array.to_list ds) in
+    match bad with
+    | [] -> ()
+    | b :: _ -> Alcotest.failf "%d bad responses, e.g. %s" (List.length bad) b
+  in
+  let jobs () = (Pool.stats (Srv_i.pool server)).Pool.jobs_completed in
+  let jobs0 = jobs () in
+  submit_all ();
+  Alcotest.(check int) "no pool job for small requests" jobs0 (jobs ());
+  let entry, _ = Srv_i.plan_for server s in
+  match entry.Srv_i.jit with
+  | None ->
+      (* [prepare] declines without a C toolchain (or with the JIT off). *)
+      print_endline "no C toolchain or JIT disabled: skipping the jit_used check"
+  | Some j -> (
+      match JB_i.wait j with
+      | Plr_jit.Jit.Ready _ ->
+          let m = Srv_i.metrics server in
+          let used0 = Metrics.Counter.get m.Metrics.jit_used in
+          submit_all ();
+          if Metrics.Counter.get m.Metrics.jit_used <= used0 then
+            Alcotest.fail "a ready JIT kernel must answer small requests";
+          Alcotest.(check int) "still no pool job" jobs0 (jobs ())
+      | Plr_jit.Jit.Building | Plr_jit.Jit.Failed _ ->
+          Alcotest.fail "the JIT build did not become ready")
 
 (* --------------------------------------------------------- plan cache *)
 
@@ -135,7 +199,7 @@ let test_plan_cache_stress () =
 let test_plan_cache_capacity_one () =
   (* A capacity-1 server is all misses and evictions — but stays correct. *)
   let config =
-    { Serve.default_config with Serve.cache_capacity = 1; batching = false }
+    { Serve.default_config with Serve.cache_capacity = 1 }
   in
   let server = Srv_i.create ~config ~domains:1 () in
   let a = int_sig [| 1 |] [| 1 |] and b = int_sig [| 1 |] [| 2; -1 |] in
@@ -362,7 +426,6 @@ let shard_test_config =
     steal_threshold = 1;
     parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
   }
 
 let test_steal_vs_sticky_session () =
@@ -401,35 +464,56 @@ let test_steal_vs_sticky_session () =
     Array.fold_left (fun a d -> a + Domain.join d) 0 hammer_doms
   in
   Alcotest.(check int) "stolen plain requests bitwise identical" 0 bad;
-  (* Deterministic steal, independent of scheduler luck: occupy the home
-     shard with one long pooled request, wait until its queue depth is
-     visible, then submit — the router must divert to the idle shard,
-     and the stolen response must still be bitwise identical. *)
+  (* Deterministic steal, independent of scheduler luck: keep the home
+     shard busy with back-to-back long pooled requests until a probe has
+     been routed away from it.  Each probe waits until the home queue
+     depth is visible, then submits — the router must divert it to the
+     idle shard, and the stolen response must still be bitwise
+     identical.  Probing repeats until the steal counter moves (a probe
+     can still land in the gap between two blocker requests), with a
+     bounded give-up. *)
   let big = random_input 29 1_000_000 in
   let big_want = Si.full s big in
-  let blocker = Domain.spawn (fun () -> Srv_i.submit server s big) in
+  let m = Srv_i.metrics server in
+  let steals () = Metrics.Counter.get m.Metrics.steals in
+  let stop = Atomic.make false in
+  let blocker =
+    Domain.spawn (fun () ->
+        let bad = ref None in
+        while not (Atomic.get stop) do
+          match Srv_i.submit server s big with
+          | Ok y -> if y <> big_want && !bad = None then bad := Some "diverged"
+          | Error e ->
+              if !bad = None then bad := Some (Serve.error_to_string e)
+        done;
+        !bad)
+  in
+  let steals0 = steals () in
   let give_up = Unix.gettimeofday () +. 30.0 in
-  while
-    (Srv_i.shard_stats server).(home).Srv_i.depth = 0
-    && Unix.gettimeofday () < give_up
-  do
-    Domain.cpu_relax ()
-  done;
-  (match Srv_i.submit server s x with
-  | Ok y ->
-      Alcotest.(check (array int)) "stolen while home busy, still bitwise"
-        want y
-  | Error e -> Alcotest.failf "steal submit: %s" (Serve.error_to_string e));
+  let rec probe () =
+    while
+      (Srv_i.shard_stats server).(home).Srv_i.depth = 0
+      && Unix.gettimeofday () < give_up
+    do
+      Domain.cpu_relax ()
+    done;
+    (match Srv_i.submit server s x with
+    | Ok y ->
+        Alcotest.(check (array int)) "stolen while home busy, still bitwise"
+          want y
+    | Error e -> Alcotest.failf "steal submit: %s" (Serve.error_to_string e));
+    if steals () = steals0 && Unix.gettimeofday () < give_up then probe ()
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set stop true) probe;
   (match Domain.join blocker with
-  | Ok y -> Alcotest.(check (array int)) "blocker response bitwise" big_want y
-  | Error e -> Alcotest.failf "blocker: %s" (Serve.error_to_string e));
+  | None -> ()
+  | Some e -> Alcotest.failf "blocker response bitwise: %s" e);
   Alcotest.(check (array int)) "session unaffected by forced migrations"
     swant
     (Array.concat (List.rev !got));
   let st = Srv_i.Session.stats session in
   Alcotest.(check int) "both migrations performed" 2 st.Srv_i.Session.migrations;
-  let m = Srv_i.metrics server in
-  if Metrics.Counter.get m.Metrics.steals = 0 then
+  if steals () = 0 then
     Alcotest.fail "80 overlapping pooled requests through threshold 1 must steal";
   Alcotest.(check int) "migrations counted in metrics" 2
     (Metrics.Counter.get m.Metrics.session_migrations)
@@ -579,6 +663,9 @@ let () =
     [
       ( "hammer",
         [ Alcotest.test_case "concurrent bitwise identity" `Quick test_hammer ] );
+      ( "local path",
+        [ Alcotest.test_case "small requests stay on the calling domain" `Quick
+            test_small_requests_local ] );
       ( "plan cache",
         [ Alcotest.test_case "concurrent stress" `Quick test_plan_cache_stress;
           Alcotest.test_case "capacity 1" `Quick test_plan_cache_capacity_one;

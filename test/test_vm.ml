@@ -229,7 +229,7 @@ let test_opts_off_kernel () =
   let n = 2000 in
   let input = random_ints n in
   let plan =
-    P.compile_with ~opts:Plr_core.Opts.all_off ~spec ~n ~threads_per_block:64 ~x:1 s
+    P.compile_with ~opts:Plr_factors.Opts.all_off ~spec ~n ~threads_per_block:64 ~x:1 s
   in
   let out = KG.run ~spec plan input in
   check_ints "unoptimized kernel" (Serial.full s input) out
