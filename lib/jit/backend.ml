@@ -111,9 +111,10 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   (* One native call.  The dispatched (unchunked) path is copy-free:
      float kernels run directly on the flat [float array] payloads, int
-     kernels on the tagged words through the units' [_tagged] entry.
-     The chunked path — and int units missing the tagged entry (stale
-     on-disk cache from an older emitter) — bridge through off-heap
+     kernels on the tagged words through the units' [_tagged] entry,
+     into a result the stub allocates, so each output word is written
+     once.  The chunked path — and int units missing the tagged entry
+     (stale on-disk cache from an older emitter) — bridge through off-heap
      storage instead: ints via Int64 Bigarrays (sign-extension out,
      63-bit truncation back; the kernel stores normalized 63-bit values,
      so no information is lost), floats via unboxed Buf storage. *)
@@ -132,11 +133,8 @@ module Make (S : Plr_util.Scalar.S) = struct
       in
       match S.rep with
       | Plr_util.Scalar.Int_rep ->
-          if chunk = None && fns.Jit.run_tagged <> 0n then begin
-            let y = Array.make n 0 in
-            Jit.call_run_direct fns.Jit.run_tagged x y n;
-            y
-          end
+          if chunk = None && fns.Jit.run_tagged <> 0n then
+            Jit.call_run_alloc fns.Jit.run_tagged x n
           else begin
             let open Bigarray in
             let xb = Array1.create int64 c_layout n in

@@ -56,13 +56,19 @@ external call_run_chunked :
   int ->
   unit = "plr_jit_stub_call_run_chunked"
 
-(* Copy-free call directly on OCaml array payloads (flat doubles for
-   float arrays; tagged words for int arrays, paired with the kernels'
-   [_tagged] entry).  The stub keeps the runtime lock, so the arrays
-   cannot move mid-call. *)
-external call_run_direct : nativeint -> 'a array -> 'a array -> int -> unit
+(* Copy-free call directly on flat [float array] payloads.  The stub
+   keeps the runtime lock, so the arrays cannot move mid-call — and the
+   call has no cancellation point: a deadline can only be checked before
+   it starts. *)
+external call_run_direct :
+  nativeint -> float array -> float array -> int -> unit
   = "plr_jit_stub_call_run_direct"
 [@@noalloc]
+
+(* The [_tagged] int kernel into a result the stub allocates itself and
+   the kernel writes exactly once.  Not [@@noalloc]: it allocates. *)
+external call_run_alloc : nativeint -> int array -> int -> int array
+  = "plr_jit_stub_call_run_alloc"
 
 (* ---- configuration (environment read per call, never memoized) ---- *)
 

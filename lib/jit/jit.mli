@@ -97,8 +97,16 @@ val call_run_chunked :
   int ->
   unit
 
-val call_run_direct : nativeint -> 'a array -> 'a array -> int -> unit
-(** Copy-free call directly on OCaml array payloads: pass {!fns.run}
-    with [float array]s (flat doubles) or {!fns.run_tagged} with
-    [int array]s (tagged words).  The stub keeps the runtime lock, so
-    the arrays cannot move mid-call; nothing allocates. *)
+val call_run_direct : nativeint -> float array -> float array -> int -> unit
+(** Copy-free call of a float unit's {!fns.run} directly on flat
+    [float array] payloads.  The stub keeps the runtime lock, so the
+    arrays cannot move mid-call; nothing allocates.  The call has no
+    cancellation point: a caller's deadline is checked before the
+    kernel starts, never during it. *)
+
+val call_run_alloc : nativeint -> int array -> int -> int array
+(** [call_run_alloc run_tagged x n] ([n >= 1], [n <= Array.length x])
+    allocates the [n]-element result itself and has {!fns.run_tagged}
+    write every element once — no zero-fill pass.  The runtime lock is
+    held throughout, as in {!call_run_direct}, and the result is
+    reachable from no root until it is complete. *)

@@ -15,6 +15,7 @@
 #include <caml/bigarray.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
+#include <caml/signals.h>
 #include <caml/threads.h>
 
 CAMLprim value plr_jit_stub_dlopen(value path)
@@ -86,10 +87,8 @@ CAMLprim value plr_jit_stub_call_run_chunked(value fn, value x, value y,
   CAMLreturn(Val_unit);
 }
 
-/* Copy-free call directly on OCaml array payloads: a float array is a
- * flat block of doubles, an int array a flat block of tagged words (the
- * int kernels emit a `_tagged` entry that untags on load and retags on
- * store).  The runtime lock is deliberately NOT released here — with
+/* Copy-free call directly on OCaml float array payloads (flat blocks of
+ * doubles).  The runtime lock is deliberately NOT released here — with
  * this thread never reaching a safepoint during the call, no GC can run,
  * so the arrays cannot move while native code holds their pointers. */
 CAMLprim value plr_jit_stub_call_run_direct(value fn, value x, value y, value n)
@@ -97,4 +96,26 @@ CAMLprim value plr_jit_stub_call_run_direct(value fn, value x, value y, value n)
   plr_run_fn f = (plr_run_fn)Nativeint_val(fn);
   f((const void *)x, (void *)y, (int64_t)Long_val(n));
   return Val_unit;
+}
+
+/* The int kernel writing a result it allocates itself: the
+ * caml_make_vect pattern with the `_tagged` kernel (which untags on load
+ * and retags on store, over OCaml's tagged int words) as the initializer,
+ * so each output word is written exactly once (no zero-fill pass).  The
+ * runtime lock is held throughout and the block is reachable from no
+ * root until the kernel has written every element (all immediates), so
+ * no GC can observe it half-built.  [x] is re-read after the allocation,
+ * which may run a minor collection; pending actions (signals, a
+ * requested major slice) run once the block is complete.  [n] >= 1. */
+CAMLprim value plr_jit_stub_call_run_alloc(value fn, value x, value n)
+{
+  CAMLparam2(fn, x);
+  CAMLlocal1(y);
+  plr_run_fn f = (plr_run_fn)Nativeint_val(fn);
+  mlsize_t len = Long_val(n);
+  y = len <= Max_young_wosize ? caml_alloc_small(len, 0)
+                              : caml_alloc_shr(len, 0);
+  f((const void *)x, (void *)y, (int64_t)len);
+  caml_process_pending_actions();
+  CAMLreturn(y);
 }

@@ -85,6 +85,12 @@ let chain_i (a : int array) (b : int array) (y : int array) ~base ~len ~y0 =
     prev := v
   done
 
+(* One native pass of the dense int scan into a result the stub
+   allocates and writes once (64-bit words only; the caller checks that
+   both streams have one length n >= 1). *)
+external native_int_scan : int -> int array -> int array -> int array
+  = "plr_scan_stub_int_run_alloc"
+
 module Make (S : Plr_util.Scalar.S) = struct
   module Damage = Faults.Damage (S)
 
@@ -129,6 +135,22 @@ module Make (S : Plr_util.Scalar.S) = struct
     let y = Array.make (Array.length a) S.zero in
     serial_chain ?y0 ~a ~b y;
     y
+
+  let native : (y0:S.t -> S.t array -> S.t array -> S.t array) option =
+    match S.rep with
+    | Plr_util.Scalar.Int_rep when Sys.word_size = 64 ->
+        Some
+          (fun ~y0 a b ->
+            check_lengths "Scan.native" a b;
+            let n = Array.length a in
+            if n = 0 then [||]
+            else begin
+              Trace.begin_span2 Trace.Scan "scan.native" n 0;
+              let y = native_int_scan y0 a b in
+              Trace.end_span ();
+              y
+            end)
+    | _ -> None
 
   (* ------------------------------------------- run-length sparse path *)
 

@@ -57,6 +57,15 @@ module Make (S : Plr_util.Scalar.S) : sig
       the steady-state shape).  Raises [Invalid_argument] when [dst] is
       shorter than the inputs. *)
 
+  val native : (y0:S.t -> S.t array -> S.t array -> S.t array) option
+  (** [Some f] for native ints on 64-bit hosts: [f ~y0 a b] is {!serial}
+      computed in one native pass over the tagged words, bitwise equal
+      to it (wrapping mod 2^63), into a result the stub allocates and
+      writes once.  It runs on the calling domain inside a [scan.native]
+      span and has no cancellation point.  Raises [Invalid_argument]
+      when the streams differ in length.  [None] for every other scalar
+      and word size. *)
+
   (** Precompiled run-length structure of a coefficient stream: maximal
       runs of identity steps ([a = 1, b = 0]) and reset steps
       ([a = 0]), with everything else left dense.  Building the plan is

@@ -870,9 +870,18 @@ module Make (S : Plr_util.Scalar.S) = struct
           Some (m.Metrics.scan_submitted, m.Metrics.scan_completed,
                 m.Metrics.scan_failed);
         plan = (fun sh -> scan_entry_for t sh n);
-        local_max = (fun _ -> t.config.parallel_threshold);
+        (* The native int scan outruns the pooled engine at every
+           length, so int scans stay on the calling domain. *)
+        local_max =
+          (fun _ ->
+            if Option.is_none Sc.native then t.config.parallel_threshold
+            else max_int);
         pooled_ok = (fun () -> true);
-        local = (fun ~faults:_ _ -> Sc.serial a b);
+        local =
+          (fun ~faults:_ _ ->
+            match Sc.native with
+            | Some f -> f ~y0:S.zero a b
+            | None -> Sc.serial a b);
         (* A carry fault the engine detects degrades to the serial
            evaluator — loud, counted, never silent. *)
         pooled =

@@ -211,9 +211,13 @@ module Make (S : Plr_util.Scalar.S) : sig
     ?deadline:float -> ?faults:Faults.plan -> t -> S.t Signature.t ->
     S.t array -> (S.t array, error) result
   (** Serve one request.  [deadline] is an absolute [Unix.gettimeofday]
-      instant, enforced both before execution starts and — through a
-      cooperative cancellation token polled at chunk boundaries — while
-      the pooled engine runs.  On [Ok y], [y] is the full recurrence
+      instant, checked before execution starts — in particular before a
+      native (JIT) kernel starts, which then runs to completion: a
+      native call has no cancellation point.  Only a run of the pooled
+      multicore engine is cancelled mid-flight, through a cooperative
+      token polled at chunk boundaries; a ready JIT kernel answers
+      pooled-size requests on the calling domain before the engine is
+      reached.  On [Ok y], [y] is the full recurrence
       output, identical to the serial reference (bitwise for integer
       scalars; within the guard's tolerance for floating ones, and
       bitwise on every path that does not degrade).
@@ -258,14 +262,18 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** [submit_scan t a b] serves one time-varying recurrence request
       [y[i] = a[i]*y[i-1] + b[i]] through {!Plr_scan.Scan}.  It runs the
       same request pipeline as {!submit}: admission control against
-      [config.max_inflight], deadlines enforced before execution and
-      mid-flight at chunk boundaries, retries with deterministic backoff,
-      the shared latency histograms, and per-kind attribution in the
-      metrics snapshot ({!Metrics.t.scan_submitted} etc.).  Schedule
-      knobs come from a scan-specific plan-cache entry bucketed by
-      request length.  Requests at or below [config.parallel_threshold]
-      evaluate serially on the calling domain; larger ones run the
-      pooled look-back engine, and an engine-detected carry fault
-      degrades — loudly, counted in {!Metrics.t.degraded} — to the
-      serial evaluator. *)
+      [config.max_inflight], the deadline rule of {!submit}, retries
+      with deterministic backoff, the shared latency histograms, and
+      per-kind attribution in the metrics snapshot
+      ({!Metrics.t.scan_submitted} etc.).  Schedule knobs come from a
+      scan-specific plan-cache entry bucketed by request length.
+
+      Native int scans ({!Plr_scan.Scan.Make.native}) run on the
+      calling domain at every length, in one native pass that writes
+      each output once; the deadline is checked before that pass starts
+      and cannot cut it.  Other scalars evaluate serially on the calling
+      domain at or below [config.parallel_threshold]; larger ones run
+      the pooled look-back engine, which the deadline cancels at chunk
+      boundaries, and an engine-detected carry fault degrades — loudly,
+      counted in {!Metrics.t.degraded} — to the serial evaluator. *)
 end

@@ -6,6 +6,8 @@
      Table-1 filters, [plr_jit_run] vs the serial reference (bitwise, the
      JIT's contract) and [plr_jit_run_chunked] vs the OCaml sequential
      fallback at the same chunk size (bitwise — identical op order);
+   - the int outputs the kernel's own C call allocates, vs the serial
+     reference, with and without a second domain forcing collections;
    - the binary32 differential: every float Table-1 signature on IEEE edge
      inputs (signed zeros, subnormals, underflow, overflow, inf, NaN,
      random bit patterns), plus the F32 emitter's literal and
@@ -123,12 +125,15 @@ module Sweep (S : Scalar.S) = struct
     | None -> Alcotest.fail "prepare returned None with a toolchain present"
     | Some jb -> jb
 
+  (* The sweep's signatures: [extra_sigs] and six random ones from the
+     sweep's fixed seed. *)
+  let signatures ~extra_sigs g =
+    extra_sigs @ List.init 6 (fun _ -> random_signature g)
+
   let sweep ~extra_sigs () =
     let g = Splitmix.create 0x71c0de in
     let m = 97 in
-    let sigs =
-      extra_sigs @ List.init 6 (fun _ -> random_signature g)
-    in
+    let sigs = signatures ~extra_sigs g in
     List.iter
       (fun s ->
         let jb = jit_for ~m s in
@@ -164,12 +169,65 @@ module Sweep_int = Sweep (Scalar.Int)
 module Sweep_f32 = Sweep (Scalar.F32)
 module Sweep_f64 = Sweep (Scalar.F64)
 
+(* include a wrap-heavy signature: the C kernel computes mod 2^64 and
+   renormalizes to OCaml's 63 bits at stores *)
+let int_extra_sigs =
+  [ int_sig [| 123456789 |] [| 3; -7 |]; int_sig [| 1 |] [| 1 |] ]
+
 let test_sweep_int () =
   skip_without_cc ();
-  (* include a wrap-heavy signature: the C kernel computes mod 2^64 and
-     renormalizes to OCaml's 63 bits at stores *)
-  let wrap = int_sig [| 123456789 |] [| 3; -7 |] in
-  Sweep_int.sweep ~extra_sigs:[ wrap; int_sig [| 1 |] [| 1 |] ] ()
+  Sweep_int.sweep ~extra_sigs:int_extra_sigs ()
+
+(* The int dispatch path allocates its result inside the kernel's C call
+   and the kernel writes each word once.  Lengths straddle the minor-heap
+   block limit (256 words).  The second pass runs while another domain
+   keeps forcing collections, so GC work overlaps the native
+   allocations. *)
+let test_fused_int_output () =
+  skip_without_cc ();
+  let g = Splitmix.create 0x71c0de in
+  let jbs =
+    List.map
+      (fun s -> (s, Sweep_int.jit_for ~m:97 s))
+      (Sweep_int.signatures ~extra_sigs:int_extra_sigs g)
+  in
+  let pass what =
+    List.iter
+      (fun (s, jb) ->
+        List.iter
+          (fun n ->
+            let x = Sweep_int.random_input g n in
+            let what = Printf.sprintf "%s n=%d" what n in
+            match JBi.run jb x with
+            | Some y ->
+                Sweep_int.check_bitwise ~what
+                  (Sweep_int.Serial.full s x) y
+            | None -> Alcotest.failf "%s: jit unavailable" what)
+          [ 1; 2; 255; 256; 257; 4097; 1 lsl 20 ])
+      jbs
+  in
+  pass "fused";
+  let stop = Atomic.make false in
+  (* Paced: back-to-back [Gc.full_major] calls starve the test domain
+     (one 2^20 case took seconds).  A slice every 0.5 ms and a full major
+     every 64 iterations keep collections running through the pass. *)
+  let collector =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          incr i;
+          if !i mod 64 = 0 then Gc.full_major () else ignore (Gc.major_slice 0);
+          Unix.sleepf 0.0005
+        done)
+  in
+  let majors () = (Gc.quick_stat ()).Gc.major_collections in
+  let before = majors () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join collector)
+    (fun () -> pass "fused under GC");
+  check_bool "major collections overlapped the pass" true (majors () > before)
 
 let test_sweep_f32 () =
   skip_without_cc ();
@@ -461,6 +519,7 @@ let () =
       ( "bitwise",
         [
           Alcotest.test_case "int sweep" `Quick test_sweep_int;
+          Alcotest.test_case "fused int output" `Quick test_fused_int_output;
           Alcotest.test_case "f32 sweep (Table 1)" `Quick test_sweep_f32;
           Alcotest.test_case "f64 sweep (Table 1)" `Quick test_sweep_f64;
           Alcotest.test_case "f32 differential (IEEE edges)" `Quick

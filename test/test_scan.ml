@@ -1,5 +1,5 @@
 (* Tests for the time-varying scan subsystem (lib/scan): serial
-   reference, run-length sparse fast path, the chunked multicore
+   reference, the native int pass, run-length sparse fast path, the chunked multicore
    look-back engine (bitwise determinism across schedules), the
    deterministic faulted pipeline, streaming sessions with
    checkpoint/replay recovery, the chaos Scan target, the serve front
@@ -84,6 +84,44 @@ let test_serial_reference () =
     (match Sc_i.serial [| 1 |] [||] with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* ------------------------------------------------------------- native *)
+
+(* The native int scan is bitwise equal to [serial], wrapping included,
+   across the minor-heap block limit (256 words) and on large inputs. *)
+let test_native_int () =
+  check_bool "no native float scan" true (Option.is_none Sc_f.native);
+  match Sc_i.native with
+  | None ->
+      check_bool "native int scan on 64-bit hosts" false (Sys.word_size = 64)
+  | Some native ->
+      let g = Splitmix.create 0x5ca9 in
+      let n = 1 lsl 20 in
+      let a =
+        Array.init n (fun _ ->
+            let v = 1 + Splitmix.int g ~bound:3 in
+            if Splitmix.int g ~bound:2 = 0 then v else -v)
+      in
+      let b = Array.init n (fun _ -> Splitmix.int_in g ~lo:(-9) ~hi:9) in
+      let y = native ~y0:0 a b in
+      check_ints "a in +-{1,2,3} at 2^20" (Sc_i.serial a b) y;
+      check_bool "the chain wrapped" true
+        (Array.exists (fun v -> abs v > 1 lsl 61) y);
+      check_ints "y0 <> 0" (Sc_i.serial ~y0:(-12345) a b)
+        (native ~y0:(-12345) a b);
+      List.iter
+        (fun n ->
+          let a, b = gen_int ~seed:(n + 3) n in
+          check_ints (Printf.sprintf "run-length streams, n=%d" n)
+            (Sc_i.serial ~y0:7 a b) (native ~y0:7 a b))
+        [ 2; 255; 256; 257; 4097 ];
+      check_ints "n = 0" [||] (native ~y0:5 [||] [||]);
+      check_ints "n = 1" (Sc_i.serial ~y0:5 [| 3 |] [| 1 |])
+        (native ~y0:5 [| 3 |] [| 1 |]);
+      check_bool "length mismatch rejected" true
+        (match native ~y0:0 [| 1 |] [||] with
+        | exception Invalid_argument _ -> true
+        | _ -> false)
 
 (* ------------------------------------------------------------- sparse *)
 
@@ -530,6 +568,32 @@ let test_serve_submit_scan () =
   | Error e ->
       Alcotest.failf "unexpected error: %s" (Plr_serve.Serve.error_to_string e))
 
+(* Int scans take the native pass on the calling domain at every length;
+   float scans above the parallel threshold still run on the pool. *)
+module Serve_f = Plr_serve.Serve.Make (Scalar.F32)
+
+let test_serve_scan_paths () =
+  let n = 20000 in
+  let a, b = gen_int ~seed:73 n in
+  let t = Serve_i.create ~domains:2 () in
+  let jobs () = (Pool.stats (Serve_i.pool t)).Pool.jobs_completed in
+  let before = jobs () in
+  (match Serve_i.submit_scan t a b with
+  | Ok y -> check_ints "int scan = serial" (Sc_i.serial a b) y
+  | Error e ->
+      Alcotest.failf "submit_scan failed: %s" (Plr_serve.Serve.error_to_string e));
+  check_int "int scan ran no pool job" before (jobs ());
+  let tf = Serve_f.create ~domains:2 () in
+  let jobs_f () = (Pool.stats (Serve_f.pool tf)).Pool.jobs_completed in
+  let before_f = jobs_f () in
+  let af, bf = gen_float ~seed:73 n in
+  (match Serve_f.submit_scan tf af bf with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.failf "f32 submit_scan failed: %s"
+        (Plr_serve.Serve.error_to_string e));
+  check_bool "f32 scan ran on the pool" true (jobs_f () > before_f)
+
 (* ---------------------------------------------------------------- CLI *)
 
 let plr_exe = "../bin/plr.exe"
@@ -565,6 +629,8 @@ let () =
         [
           Alcotest.test_case "reference chain" `Quick test_serial_reference;
         ] );
+      ( "native",
+        [ Alcotest.test_case "int bitwise vs serial" `Quick test_native_int ] );
       ( "sparse",
         [
           Alcotest.test_case "int bitwise" `Quick test_sparse_bitwise_int;
@@ -598,6 +664,10 @@ let () =
             test_stream_digest_float_bits;
         ] );
       ( "serve",
-        [ Alcotest.test_case "submit_scan" `Quick test_serve_submit_scan ] );
+        [
+          Alcotest.test_case "submit_scan" `Quick test_serve_submit_scan;
+          Alcotest.test_case "int native, float pooled" `Quick
+            test_serve_scan_paths;
+        ] );
       ("cli", [ Alcotest.test_case "error paths" `Quick test_cli_errors ]);
     ]
